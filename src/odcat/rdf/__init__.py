@@ -1,7 +1,8 @@
 """Embedded named-graph RDF store with Turtle/N-Triples support."""
 
 from .terms import IRI, BlankNode, Literal, Quad, Term, Triple
-from .turtle import ParseError, UnresolvedPrefixError, parse_ntriples, parse_turtle
+from .turtle import ParseError, UnresolvedPrefixError, parse_turtle
+from .ntriples import parse_ntriples
 from .serialize import serialize, serialize_ntriples, serialize_turtle
 from .canon import canonical_ntriples, canonicalize, isomorphic
 from .store import QuadStore

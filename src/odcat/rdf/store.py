@@ -2,32 +2,22 @@
 
 from __future__ import annotations
 
+import logging
+import os
 import threading
 from pathlib import Path
 from typing import Iterable
 
+from .ntriples import LineParser
 from .serialize import format_term
 from .terms import IRI, Quad, Term, Triple
-from .turtle import _TurtleParser
+from .turtle import ParseError
+
+logger = logging.getLogger(__name__)
 
 
 def _format_quad(q: Quad) -> str:
     return f"{format_term(q.subject)} {format_term(q.predicate)} {format_term(q.object)} <{q.graph}> ."
-
-
-def _parse_nquads_line(line: str, lineno: int) -> Quad:
-    parser = _TurtleParser(line, base_iri="", line_offset=lineno, ntriples=True)
-    parser.skip_ws(comments=False)
-    s = parser._nt_subject()
-    parser.skip_ws(comments=False)
-    p = IRI(parser._scan_iriref())
-    parser.skip_ws(comments=False)
-    o = parser._nt_object()
-    parser.skip_ws(comments=False)
-    g = parser._scan_iriref()
-    parser.skip_ws(comments=False)
-    parser.expect(".")
-    return Quad(s, p, o, g)
 
 
 class QuadStore:
@@ -35,7 +25,10 @@ class QuadStore:
 
     All mutations are serialized by one lock and, when a data directory is
     configured, appended to a write-ahead log of N-Quads lines. `compact()`
-    folds the log into a snapshot; `open()` replays snapshot + log.
+    folds the log into a snapshot; opening a data directory replays
+    snapshot + log in one pass over each. A final log line without its
+    newline is a torn write: replay drops it, counts it in `torn_wal_lines`
+    and cuts it off the file, so the next append starts on a fresh line.
     """
 
     def __init__(self, data_dir: str | Path | None = None, compact_every: int = 500_000):
@@ -48,6 +41,7 @@ class QuadStore:
         self._wal_lines = 0
         self._compact_every = compact_every
         self._data_dir: Path | None = None
+        self.torn_wal_lines = 0
         if data_dir is not None:
             self._data_dir = Path(data_dir)
             self._data_dir.mkdir(parents=True, exist_ok=True)
@@ -65,21 +59,34 @@ class QuadStore:
         return self._data_dir / "snapshot.nq"
 
     def _replay(self) -> None:
+        parser = LineParser()
         if self._snapshot_path.exists():
-            for lineno, line in enumerate(self._snapshot_path.read_text(encoding="utf-8").splitlines(), 1):
+            text = self._snapshot_path.read_bytes().decode("utf-8")
+            for lineno, line in enumerate(text.split("\n"), 1):
                 if line.strip():
-                    self._index_add(_parse_nquads_line(line, lineno))
-        if self._wal_path.exists():
-            for lineno, line in enumerate(self._wal_path.read_text(encoding="utf-8").splitlines(), 1):
-                if not line.strip():
-                    continue
-                op, _, rest = line.partition(" ")
-                if op == "A":
-                    self._index_add(_parse_nquads_line(rest, lineno))
-                elif op == "D":
-                    self._index_remove(_parse_nquads_line(rest, lineno))
-                elif op == "C":
-                    self._clear_graph(rest.strip().lstrip("<").rstrip(">"))
+                    self._index_add(parser.quad(line, lineno))
+        if not self._wal_path.exists():
+            return
+        data = self._wal_path.read_bytes()
+        complete = data.rfind(b"\n") + 1
+        for lineno, line in enumerate(data[:complete].decode("utf-8").split("\n"), 1):
+            op = line[:2]
+            if op == "A ":
+                self._index_add(parser.quad(line, lineno, 2))
+            elif op == "D ":
+                self._index_remove(parser.quad(line, lineno, 2))
+            elif op == "C ":
+                self._clear_graph(parser.graph_name(line, lineno, 2))
+            elif line.strip():
+                raise ParseError("unknown write-ahead log operation", lineno, 1)
+        if complete < len(data):
+            self.torn_wal_lines += 1
+            logger.warning(
+                "dropped torn final line of %s: %r",
+                self._wal_path,
+                data[complete:].decode("utf-8", errors="replace"),
+            )
+            os.truncate(self._wal_path, complete)
 
     def _log(self, line: str) -> None:
         if self._wal is not None:

@@ -1,4 +1,4 @@
-"""Hand-rolled Turtle and N-Triples parsers.
+"""Hand-rolled Turtle parser (N-Triples lines are parsed in `ntriples`).
 
 Supported Turtle subset: @prefix/@base (and SPARQL-style PREFIX/BASE), IRIs,
 prefixed names, 'a', quoted/language-tagged/typed literals plus numeric and
@@ -64,28 +64,15 @@ def parse_turtle(text: str, base_iri: str = "") -> list[Triple]:
     return _TurtleParser(text, base_iri).parse()
 
 
-def parse_ntriples(text: str) -> list[Triple]:
-    """Parse an N-Triples document (strict line-based syntax)."""
-    triples: list[Triple] = []
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parser = _TurtleParser(line, base_iri="", line_offset=lineno, ntriples=True)
-        triples.extend(parser.parse_ntriples_line())
-    return triples
-
-
 class _TurtleParser:
-    def __init__(self, text: str, base_iri: str, line_offset: int = 1, ntriples: bool = False):
+    def __init__(self, text: str, base_iri: str):
         self.text = text
         self.pos = 0
-        self.line = line_offset
+        self.line = 1
         self.col = 1
         self.base = base_iri
         self.prefixes: dict[str, str] = {}
         self.triples: list[Triple] = []
-        self.ntriples = ntriples
         self._anon = 0
         self._anon_prefix = self._fresh_anon_prefix(text)
 
@@ -121,12 +108,12 @@ class _TurtleParser:
         self.pos += n
         return chunk
 
-    def skip_ws(self, comments: bool = True) -> None:
+    def skip_ws(self) -> None:
         while not self.at_end():
             c = self.peek()
             if c in " \t\r\n":
                 self.advance()
-            elif comments and c == "#":
+            elif c == "#":
                 while not self.at_end() and self.peek() != "\n":
                     self.advance()
             else:
@@ -338,8 +325,6 @@ class _TurtleParser:
             raise self.error(f"invalid unicode escape \\{kind}{digits}") from None
 
     def _parse_prefixed_name(self) -> IRI:
-        if self.ntriples:
-            raise self.error("expected IRI or blank node")
         start_line, start_col = self.line, self.col
         m = re.match(r"[A-Za-z0-9_.\-]*:", self.text[self.pos :])
         if not m:
@@ -414,8 +399,6 @@ class _TurtleParser:
         if quote not in "\"'":
             raise self.error("expected string literal")
         long = self.text.startswith(quote * 3, self.pos)
-        if long and self.ntriples:
-            raise self.error("long strings are not allowed in N-Triples")
         self.advance(3 if long else 1)
         out: list[str] = []
         while True:
@@ -445,38 +428,3 @@ class _TurtleParser:
                     raise self.error(f"invalid string escape \\{esc}")
             else:
                 out.append(self.advance())
-
-    # -- N-Triples -----------------------------------------------------
-
-    def parse_ntriples_line(self) -> list[Triple]:
-        self.skip_ws(comments=False)
-        subject = self._nt_subject()
-        self.skip_ws(comments=False)
-        if self.peek() != "<":
-            raise self.error("expected IRI predicate")
-        predicate = IRI(self._scan_iriref())
-        self.skip_ws(comments=False)
-        obj = self._nt_object()
-        self.skip_ws(comments=False)
-        self.expect(".")
-        self.skip_ws()
-        if not self.at_end():
-            raise self.error("trailing content after '.'")
-        return [(subject, predicate, obj)]
-
-    def _nt_subject(self) -> Term:
-        if self.peek() == "<":
-            return IRI(self._scan_iriref())
-        if self.peek() == "_":
-            return self._parse_blank_label()
-        raise self.error("expected IRI or blank node subject")
-
-    def _nt_object(self) -> Term:
-        c = self.peek()
-        if c == "<":
-            return IRI(self._scan_iriref())
-        if c == "_":
-            return self._parse_blank_label()
-        if c == '"':
-            return self._parse_rdf_literal()
-        raise self.error("expected IRI, blank node, or literal object")

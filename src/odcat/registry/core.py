@@ -107,28 +107,29 @@ class Registry:
     # -- startup -----------------------------------------------------------
 
     def _rebuild(self) -> None:
-        for graph_name in self.store.graphs():
+        graphs = self.store.graphs()
+        link = IRI(ns.DCAT_DATASET_LINK)
+        owner: dict[Term, str] = {}  # dataset IRI -> first catalogue linking it
+        for graph_name in graphs:
             cid = self.scheme.catalogue_id_of(graph_name)
             if cid is not None and not self.scheme.dataset_id_of(graph_name):
                 self._catalogues.setdefault(cid, set())
-        for graph_name in self.store.graphs():
+                for dataset in self.store.objects(graph_name, IRI(graph_name), link):
+                    owner.setdefault(dataset, cid)
+        identifier = IRI(ns.DCT_IDENTIFIER)
+        for graph_name in graphs:
             ds_id = self.scheme.dataset_id_of(graph_name)
             if ds_id is None:
                 continue
             subject = IRI(graph_name)
             original = next(
-                (o.lexical for o in self.store.objects(graph_name, subject, IRI(ns.DCT_IDENTIFIER)) if isinstance(o, Literal)),
+                (o.lexical for o in self.store.objects(graph_name, subject, identifier) if isinstance(o, Literal)),
                 ds_id,
             )
-            catalogue_id = ""
-            for cid, _ in self._catalogues.items():
-                cat_graph = self.scheme.catalogue(cid)
-                if self.store.match(cat_graph, IRI(cat_graph), IRI(ns.DCAT_DATASET_LINK), subject):
-                    catalogue_id = cid
-                    break
+            catalogue_id = owner.get(subject, "")
             self._datasets[ds_id] = (catalogue_id, original)
             if catalogue_id:
-                self._catalogues.setdefault(catalogue_id, set()).add(ds_id)
+                self._catalogues[catalogue_id].add(ds_id)
 
     # -- catalogues ----------------------------------------------------------
 

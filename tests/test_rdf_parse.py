@@ -121,6 +121,49 @@ def test_ntriples_rejects_turtle_sugar():
         parse_ntriples('<http://x/s> a "x" .')
 
 
+@pytest.mark.parametrize(
+    "line, message, column",
+    [
+        ('<http://x/s> <http://x/p> <rel> .', "relative IRI", 27),
+        ('<http://x/s> <http://x/p> "open .', "unterminated string literal", 34),
+        ('<http://x/s> <http://x/p> "x" . <http://x/o>', "trailing content", 33),
+        ('<http://x/s> a "x" .', "expected IRI predicate", 14),
+        ('<http://x/s> <http://x/p> """long""" .', "long strings", 27),
+        ('<http://x/s> <http://x/p> "x"@1 .', "invalid language tag", 31),
+        ('<http://x/s> <http://x/p> "x"^^xsd:int .', "expected datatype IRI", 32),
+        ('<http://x/s> <http://x/p> "\\q" .', "invalid string escape", 28),
+        ('<http://x/s> <http://x/a b> "x" .', "whitespace inside IRI", 25),
+        ('<http://x/s> <http://x/p> <http://x/\\u0020> .', "forbidden character", 27),
+        ('<http://x/s> <http://x/p> _:b. .', "trailing content", 32),
+    ],
+    ids=[
+        "relative-iri",
+        "unterminated-literal",
+        "trailing-content",
+        "turtle-a-sugar",
+        "long-string",
+        "bad-language-tag",
+        "prefixed-datatype",
+        "bad-string-escape",
+        "space-in-iri",
+        "escaped-space-in-iri",
+        "blank-label-ending-in-dot",
+    ],
+)
+def test_ntriples_errors_name_line_and_column(line, message, column):
+    with pytest.raises(ParseError) as err:
+        parse_ntriples(f"<http://x/s> <http://x/p> <http://x/o> .\n# comment\n{line}")
+    assert message in str(err.value)
+    assert (err.value.line, err.value.column) == (3, column)
+
+
+def test_ntriples_builds_each_distinct_term_once():
+    first, second = parse_ntriples(
+        '<http://x/s> <http://x/p> "caf\\u00E9"@en .\n<http://x/s> <http://x/p> "caf\\u00E9"@en .'
+    )
+    assert all(a is b for a, b in zip(first, second))
+
+
 def test_escapes_round_trip():
     lex = 'tab\t"quote"\\back\nnl'
     ts = [(IRI("http://x/s"), IRI("http://x/p"), Literal(lex))]

@@ -1,8 +1,11 @@
 import random
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from odcat.rdf import IRI, GraphQuery, Literal, QuadStore, Var, query
+from odcat.rdf import IRI, BlankNode, GraphQuery, Literal, ParseError, Quad, QuadStore, Var, query
 
 RDF_TYPE = IRI("http://www.w3.org/1999/02/22-rdf-syntax-ns#type")
 DATASET = IRI("http://www.w3.org/ns/dcat#Dataset")
@@ -59,6 +62,110 @@ def test_persistence_snapshot_compact(tmp_path):
 
     reloaded = QuadStore(tmp_path)
     assert len(reloaded) == 6
+
+
+def _last_mutation(store, op):
+    if op == "A":
+        store.add(G2, (IRI("http://x/b"), TITLE, Literal("naïve ✓ \u2028 \"q\"", lang="fr")))
+    elif op == "D":
+        store.remove(G1, (IRI("http://x/a"), TITLE, Literal("zwei")))
+    else:
+        store.delete_graph(G1)
+
+
+@pytest.mark.parametrize("op", ["A", "D", "C"])
+def test_torn_wal_tail_reopens_at_the_state_before_the_last_mutation(tmp_path, op):
+    store = QuadStore(tmp_path / "live")
+    store.add(G1, (IRI("http://x/a"), TITLE, Literal("café\t\x01 ☂", lang="en")))
+    store.add(G1, (IRI("http://x/a"), TITLE, Literal("zwei")))
+    store.add(G2, (BlankNode("b1"), TITLE, Literal("3", "http://www.w3.org/2001/XMLSchema#integer")))
+    before = set(store.match())
+    _last_mutation(store, op)
+    after = set(store.match())
+    assert after != before
+    data = (tmp_path / "live" / "wal.nq").read_bytes()
+    store.close()
+    last = data.rstrip(b"\n").rfind(b"\n") + 1
+    assert data[last : last + 2] == f"{op} ".encode()
+
+    extra = (IRI("http://x/extra"), TITLE, Literal("après"))
+    for cut in range(last, len(data) + 1):
+        directory = tmp_path / f"cut-{cut}"
+        directory.mkdir()
+        (directory / "wal.nq").write_bytes(data[:cut])
+        reopened = QuadStore(directory)
+        torn = last < cut < len(data)
+        assert set(reopened.match()) == (after if cut == len(data) else before), cut
+        assert reopened.torn_wal_lines == int(torn), cut
+        assert (directory / "wal.nq").read_bytes() == (data[:last] if torn else data[:cut]), cut
+        reopened.add(G1, extra)
+        del reopened  # a crash: no compaction, the next open replays the log
+        again = QuadStore(directory)
+        expected = (after if cut == len(data) else before) | {Quad(*extra, G1)}
+        assert set(again.match()) == expected, cut
+        assert again.torn_wal_lines == 0
+        again.close()
+
+
+@pytest.mark.parametrize(
+    "bad_line",
+    [
+        "A <http://x/a> <http://purl.org/dc/terms/title",
+        'A <http://x/a> <http://purl.org/dc/terms/title> "x" .',
+        "C <http://x/graphs/1",
+        "X <http://x/graphs/1>",
+    ],
+)
+def test_bad_wal_line_before_the_tail_names_its_line(tmp_path, bad_line):
+    good = f'A <http://x/a> <http://purl.org/dc/terms/title> "t" <{G1}> .'
+    (tmp_path / "wal.nq").write_text(f"{good}\n{bad_line}\n{good}", encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        QuadStore(tmp_path)
+    assert err.value.line == 2
+
+
+_tricky_text = st.one_of(
+    st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=12),
+    st.sampled_from(["", "\\", '"', "\\u00E9", "tab\there", "line\nbreak\r", "\x00\x01\x1f\x7f", "\x85\u2028\u2029", "☂ café 😀"]),
+)
+_store_literals = st.one_of(
+    st.builds(Literal, _tricky_text),
+    st.builds(Literal, _tricky_text, lang=st.sampled_from(["en", "de-AT", "zh-Hant-TW"])),
+    st.builds(Literal, _tricky_text, st.sampled_from(["http://www.w3.org/2001/XMLSchema#integer", "http://x/dt#é"])),
+)
+_store_nodes = st.one_of(
+    st.sampled_from([IRI("http://x/a"), IRI("http://x/ü/ß?q=1#f"), IRI("urn:x:1")]),
+    st.builds(BlankNode, st.sampled_from(["b0", "b.1", "_x-y"])),
+)
+_store_quads = st.lists(
+    st.builds(
+        Quad,
+        _store_nodes,
+        st.sampled_from([TITLE, RDF_TYPE, IRI("http://x/p/ä")]),
+        st.one_of(_store_nodes, _store_literals),
+        st.sampled_from([G1, G2]),
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_store_quads)
+def test_store_round_trips_quads_through_wal_and_snapshot(quads):
+    with tempfile.TemporaryDirectory() as directory:
+        store = QuadStore(directory)
+        for q in quads:
+            store.add(q.graph, q.triple)
+        for q in quads[::3]:
+            store.remove(q.graph, q.triple)
+        expected = set(store.match())
+        del store
+        from_wal = QuadStore(directory)
+        assert set(from_wal.match()) == expected
+        from_wal.close()
+        from_snapshot = QuadStore(directory)
+        assert set(from_snapshot.match()) == expected
+        from_snapshot.close()
 
 
 def test_concurrent_writers_consistent(tmp_path):

@@ -236,6 +236,44 @@ def test_rebuild_from_store(tmp_path):
     assert reg2.dataset_info("orig-id") == ("cat1", "Orig Id")
 
 
+@pytest.mark.parametrize("compacted", [False, True], ids=["wal", "snapshot"])
+def test_rebuild_restores_every_dataset_and_catalogue(tmp_path, compacted):
+    store = QuadStore(tmp_path)
+    reg = Registry(store, BASE)
+    for c in range(4):
+        reg.put_catalogue(f"cat{c}")
+        for d in range(6):
+            reg.put_dataset(f"cat{c}", f"Set {d}" if d < 2 else f"cat{c} set {d}", parse_turtle(dataset_turtle(f"T{c}.{d}")))
+    for ds_id in reg.dataset_ids()[::5]:
+        reg.delete_dataset(ds_id)
+    reg.put_catalogue("empty-a")
+    reg.put_catalogue("empty-b")
+    # a stray link from a later catalogue does not take a dataset away from the first
+    owned = reg.dataset_ids("cat1")[0]
+    stray = reg.scheme.catalogue("cat3")
+    store.add(stray, (IRI(stray), IRI(ns.DCAT_DATASET_LINK), IRI(reg.scheme.dataset(owned))))
+    before = (
+        {ds_id: reg.dataset_info(ds_id) for ds_id in reg.dataset_ids()},
+        {cid: reg.dataset_ids(cid) for cid in reg.catalogue_ids()},
+        reg.catalogue_ids(),
+    )
+    if compacted:
+        store.close()
+    else:
+        del store
+
+    store2 = QuadStore(tmp_path)
+    reg2 = Registry(store2, BASE)
+    after = (
+        {ds_id: reg2.dataset_info(ds_id) for ds_id in reg2.dataset_ids()},
+        {cid: reg2.dataset_ids(cid) for cid in reg2.catalogue_ids()},
+        reg2.catalogue_ids(),
+    )
+    store2.close()
+    assert after == before
+    assert len(before[0]) == 19 and before[1]["empty-a"] == [] and len(before[2]) == 6
+
+
 # -- content negotiation -------------------------------------------------------
 
 
