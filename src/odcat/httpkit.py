@@ -66,6 +66,19 @@ class Response:
 Handler = Callable[[Request], Response]
 
 
+def paging(query: dict[str, str], default_size: int) -> tuple[int, int]:
+    """(page, pageSize) of a listing request. Raises ValueError unless both
+    are integers, page >= 0 and pageSize >= 1."""
+    try:
+        page = int(query.get("page", "0"))
+        page_size = int(query.get("pageSize", str(default_size)))
+    except ValueError:
+        raise ValueError("page and pageSize must be integers") from None
+    if page < 0 or page_size < 1:
+        raise ValueError("page must be >= 0 and pageSize >= 1")
+    return page, page_size
+
+
 class Router:
     """Maps (method, /path/{param}/...) patterns to handlers."""
 

@@ -50,6 +50,9 @@ _ECHAR = {
     "'": "'",
     "\\": "\\",
 }
+# \u and \U take exactly 4 and 8 hex digits, up to U+10FFFF
+_UCHAR_DIGITS = {"u": 4, "U": 8}
+_HEX_RE = re.compile(r"[0-9A-Fa-f]+")
 _SCHEME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.-]*:")
 _LANGTAG_RE = re.compile(r"[a-zA-Z]+(-[a-zA-Z0-9]+)*")
 _INTEGER_RE = re.compile(r"[+-]?[0-9]+")
@@ -313,16 +316,14 @@ class _TurtleParser:
     def _scan_uchar(self) -> str:
         self.expect("\\")
         kind = self.advance()
-        if kind == "u":
-            digits = self.advance(4)
-        elif kind == "U":
-            digits = self.advance(8)
-        else:
+        if kind not in _UCHAR_DIGITS:
             raise self.error(f"invalid IRI escape \\{kind}")
-        try:
-            return chr(int(digits, 16))
-        except ValueError:
-            raise self.error(f"invalid unicode escape \\{kind}{digits}") from None
+        width = _UCHAR_DIGITS[kind]
+        digits = self.text[self.pos : self.pos + width]
+        if len(digits) != width or not _HEX_RE.fullmatch(digits) or int(digits, 16) > 0x10FFFF:
+            raise self.error(f"invalid unicode escape \\{kind}{digits}")
+        self.advance(width)
+        return chr(int(digits, 16))
 
     def _parse_prefixed_name(self) -> IRI:
         start_line, start_col = self.line, self.col

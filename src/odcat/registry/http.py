@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ..httpkit import Request, Response, Router
+from ..httpkit import Request, Response, Router, paging
 from ..rdf import ParseError, parse_ntriples, parse_turtle, serialize_ntriples, serialize_turtle
 from .core import (
     MultipleDatasetNodesError,
@@ -126,10 +126,9 @@ def build_registry_router(registry: Registry, token: str | None = None) -> Route
 
     def list_datasets(req: Request) -> Response:
         try:
-            page = int(req.query.get("page", "0"))
-            page_size = int(req.query.get("pageSize", "100"))
-        except ValueError:
-            return Response.error(400, "BadRequest", "page and pageSize must be integers")
+            page, page_size = paging(req.query, 100)
+        except ValueError as exc:
+            return Response.error(400, "BadRequest", str(exc))
         try:
             total, rows = registry.list_datasets(req.params["cid"], page, page_size)
         except UnknownCatalogueError:

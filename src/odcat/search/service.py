@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import logging
 
-from ..httpkit import Request, Response, Router
+from ..httpkit import Request, Response, Router, paging
 from ..registry.core import Event, Registry
 from ..vocab import Vocabulary, load_vocabularies
 from .flatten import flatten
@@ -47,10 +47,9 @@ def build_search_router(index: SearchIndex) -> Router:
 
     def search(req: Request) -> Response:
         try:
-            page = int(req.query.get("page", "0"))
-            page_size = int(req.query.get("pageSize", "10"))
-        except ValueError:
-            return Response.error(400, "BadRequest", "page and pageSize must be integers")
+            page, page_size = paging(req.query, 10)
+        except ValueError as exc:
+            return Response.error(400, "BadRequest", str(exc))
         facets = {fld: req.query.get(fld, "") for fld in FACET_FIELDS}
         return Response.json(index.search(req.query.get("q", ""), facets, page, page_size))
 

@@ -176,6 +176,43 @@ def test_unicode_escape():
     assert t[2].lexical == "café"
 
 
+@pytest.mark.parametrize(
+    "turtle",
+    [
+        '<http://x/s> <http://x/p> "caf\\u 0E9" .',
+        '<http://x/s> <http://x/p> "caf\\u0E9" .',
+        '<http://x/s> <http://x/p> "\\U0000_0E9" .',
+        '<http://x/s> <http://x/p> "\\UFFFFFFFF" .',
+        '<http://x/s> <http://x/p> "\\U00110000" .',
+        '<http://x/s> <http://x/p> "\\u00" .',
+        '<http://x/s> <http://x/a\\u+0E9> "x" .',
+        '<http://x/s> <http://x/a\\U0x0000E9> "x" .',
+        '<http://x/s> <http://x/a\\UFFFFFFFF> "x" .',
+    ],
+    ids=[
+        "space-in-digits",
+        "three-digits",
+        "underscore-in-digits",
+        "above-int32",
+        "above-max-code-point",
+        "cut-by-end-of-string",
+        "iri-plus-sign",
+        "iri-hex-prefix",
+        "iri-above-max-code-point",
+    ],
+)
+def test_turtle_unicode_escape_needs_exact_hex_digits(turtle):
+    with pytest.raises(ParseError) as err:
+        parse_turtle(turtle)
+    assert "invalid unicode escape" in str(err.value)
+
+
+def test_turtle_unicode_escapes_in_literal_and_iri():
+    ((s, p, o),) = parse_turtle('<http://x/caf\\u00E9> <http://x/p> "\\U0001F600\\u00e9" .')
+    assert s == IRI("http://x/café")
+    assert o.lexical == "\U0001F600é"
+
+
 def test_empty_graph_serializes_empty():
     assert serialize_ntriples([]) == ""
     assert serialize_turtle([]) == ""

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import re
 
 import pytest
@@ -357,3 +358,30 @@ def test_http_ntriples_body_accepted(http_registry):
         timeout=10,
     )
     assert resp.status_code == 201
+
+
+@pytest.mark.parametrize(
+    "query",
+    [{"page": "-1"}, {"pageSize": "0"}, {"pageSize": "-5"}, {"page": "x"}],
+    ids=["negative-page", "zero-page-size", "negative-page-size", "not-an-integer"],
+)
+def test_http_listing_rejects_bad_paging(registry, query):
+    for i in range(8):
+        registry.put_dataset("cat1", f"d{i}", parse_turtle(dataset_turtle(title=f"t{i}")))
+    router = build_registry_router(registry)
+    resp = router.dispatch("GET", "/catalogues/cat1/datasets", query, {}, b"")
+    assert resp.status == 400, resp.body
+    ok = router.dispatch("GET", "/catalogues/cat1/datasets", {"page": "1", "pageSize": "5"}, {}, b"")
+    assert ok.status == 200
+    assert [row["id"] for row in json.loads(ok.body)["datasets"]] == ["d5", "d6", "d7"]
+
+
+def test_http_put_with_malformed_unicode_escape_is_a_400(registry):
+    router = build_registry_router(registry)
+    for body in (dataset_turtle(title="\\UFFFFFFFF"), dataset_turtle(title="caf\\u 0E9")):
+        resp = router.dispatch(
+            "PUT", "/datasets/d1", {"catalogue": "cat1"}, {"content-type": "text/turtle"}, body.encode()
+        )
+        assert resp.status == 400, resp.body
+        assert json.loads(resp.body)["error"] == "ParseError"
+    assert registry.dataset_ids() == []
