@@ -51,8 +51,7 @@ def cmd_serve(args) -> int:
     signal.signal(signal.SIGINT, shutdown)
     signal.signal(signal.SIGTERM, shutdown)
     try:
-        while not stop.wait(0.5):
-            pass
+        stop.wait()  # a signal handler runs on this thread and sets it
     finally:
         suite.stop()
         print("stopped; stores flushed")

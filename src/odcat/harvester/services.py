@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import logging
 import threading
-import time
+from collections import Counter
 
 from ..pipeline.service import HandlerResult, PipeContext, PipeService
 from ..rdf import ParseError, serialize_turtle
@@ -116,24 +116,19 @@ def make_transformer(
 
 class _RunAccounting:
     def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._runs: dict[str, dict] = {}
+        self._cond = threading.Condition()
+        self._runs: dict[str, Counter] = {}
 
     def bump(self, run_id: str, outcome: str) -> None:
-        with self._lock:
-            run = self._runs.setdefault(
-                run_id, {"handled": 0, "created": 0, "updated": 0, "failed": 0}
-            )
-            run["handled"] += 1
-            run[outcome] += 1
+        with self._cond:
+            self._runs.setdefault(run_id, Counter()).update(("handled", outcome))
+            self._cond.notify_all()
 
-    def snapshot(self, run_id: str) -> dict:
-        with self._lock:
-            return dict(self._runs.get(run_id, {"handled": 0, "created": 0, "updated": 0, "failed": 0}))
-
-    def forget(self, run_id: str) -> None:
-        with self._lock:
-            self._runs.pop(run_id, None)
+    def finish(self, run_id: str, total: int, timeout: float) -> tuple[bool, Counter]:
+        """Wait for `total` records of the run, then forget it: (False, counts) on timeout."""
+        with self._cond:
+            done = self._cond.wait_for(lambda: self._runs.get(run_id, Counter())["handled"] >= total, timeout)
+            return done, self._runs.pop(run_id, Counter())
 
 
 def make_exporter(
@@ -176,20 +171,14 @@ def make_exporter(
             raise ValueError(f"unexpected payload kind {envelope['kind']!r}")
 
         record_total = int(envelope.get("recordTotal", 0))
-        deadline = time.monotonic() + sync_wait_seconds
-        while accounting.snapshot(run_id)["handled"] < record_total:
-            if time.monotonic() > deadline:
-                counts = accounting.snapshot(run_id)
-                accounting.forget(run_id)
-                raise RuntimeError(
-                    f"sync abandoned: only {counts['handled']} of {record_total} records arrived"
-                )
-            time.sleep(0.02)
+        done, counts = accounting.finish(run_id, record_total, sync_wait_seconds)
+        if not done:
+            raise RuntimeError(
+                f"sync abandoned: only {counts['handled']} of {record_total} records arrived"
+            )
 
         id_list = IdentifierList.from_json(envelope["identifierList"])
         sync = finalize_sync(client, id_list, allow_empty=bool(ctx.config.get("allowEmptySync", False)))
-        counts = accounting.snapshot(run_id)
-        accounting.forget(run_id)
         summary = {
             "records": counts["handled"],
             "created": counts["created"],

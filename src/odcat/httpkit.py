@@ -12,6 +12,7 @@ import json
 import logging
 import re
 import select
+import socket
 import threading
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -119,6 +120,11 @@ class Router:
         return Response.error(404, "NotFound", f"no route for {path}")
 
 
+class _Server(ThreadingHTTPServer):
+    daemon_threads = True
+    request_queue_size = socket.SOMAXCONN  # the default backlog of 5 resets bursts of new connections
+
+
 class HttpService:
     """One Router bound to one listener, served by a daemon thread pool."""
 
@@ -154,10 +160,9 @@ class HttpService:
             do_GET = do_POST = do_PUT = do_DELETE = do_HEAD = _serve
 
         try:
-            self.server = ThreadingHTTPServer((host, port), _Handler)
+            self.server = _Server((host, port), _Handler)
         except OSError as exc:
             raise AddressInUseError(f"cannot bind {host}:{port}: {exc}") from exc
-        self.server.daemon_threads = True
         self.host = host
         self.port = self.server.server_address[1]
         self._thread: threading.Thread | None = None

@@ -1,18 +1,15 @@
 """Service-side pipe runtime: receive, execute, report, forward.
 
-Submissions are acknowledged with 202 before the handler runs, so slow
-handlers never block the upstream service. Unreachable successors are retried
-with exponential backoff and then reported as a failed run segment.
+Submissions are acknowledged with 202 before the handler runs (503 while the
+queue stays full), so slow handlers never block the upstream service. Busy or
+unreachable successors are retried with backoff, then reported as failed.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-import threading
 import time
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -22,6 +19,7 @@ from urllib.parse import urlparse, unquote
 import requests
 
 from ..httpkit import ClientError, HttpClient, HttpService, Request, Response, Router
+from ..workqueue import WorkQueue
 from .descriptor import (
     NotAddressedError,
     Payload,
@@ -34,6 +32,10 @@ from .descriptor import (
 )
 
 logger = logging.getLogger(__name__)
+
+# descriptors waiting to run, and how long a POST waits for room before a 503
+QUEUE_CAPACITY = 1024
+ADMISSION_WAIT = 5.0
 
 
 def utcnow_iso() -> str:
@@ -57,70 +59,37 @@ def resolve_payload_bytes(payload: Payload, timeout: float = 30.0) -> bytes:
 
 
 class StatusReporter:
-    """Fire-and-forget run-status posting with local buffering."""
+    """Run-status posting in order from one worker, retried until it succeeds or the reporter stops."""
 
     def __init__(self, runlog_url: str | None, token: str | None = None):
         self.runlog_url = runlog_url
-        self.token = token
         self.local: list[RunStatus] = []
-        self._buffer: deque[RunStatus] = deque()
-        self._lock = threading.Lock()
-        self._wake = threading.Event()
-        self._stop = False
-        self._thread: threading.Thread | None = None
-        if runlog_url:
-            self._thread = threading.Thread(target=self._drain, name="status-reporter", daemon=True)
-            self._thread.start()
+        self._headers = {"Content-Type": "application/json"}
+        if token:
+            self._headers["Authorization"] = f"Bearer {token}"
+        self._client = HttpClient(timeout=10)
+        self.queue = WorkQueue(self._post, "status-reporter")
 
     def report(self, status: RunStatus) -> None:
         if not status.timestamp:
             status.timestamp = utcnow_iso()
-        with self._lock:
-            self.local.append(status)
-            if self.runlog_url:
-                self._buffer.append(status)
-        self._wake.set()
+        self.local.append(status)
+        if self.runlog_url:
+            self.queue.submit(status)
 
-    def _drain(self) -> None:
-        client = HttpClient(timeout=10)
-        headers = {"Content-Type": "application/json"}
-        if self.token:
-            headers["Authorization"] = f"Bearer {self.token}"
-        while not self._stop:
-            self._wake.wait(timeout=0.5)
-            self._wake.clear()
-            while True:
-                with self._lock:
-                    if not self._buffer:
-                        break
-                    status = self._buffer[0]
-                try:
-                    client.request(
-                        "POST",
-                        self.runlog_url + "/runs/status",
-                        json.dumps(status.to_json()).encode("utf-8"),
-                        headers,
-                    )
-                except ClientError:
-                    # keep buffered, retry on the next wake-up
-                    time.sleep(0.2)
-                    break
-                with self._lock:
-                    self._buffer.popleft()
-
-    def flush(self, timeout: float = 5.0) -> None:
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            with self._lock:
-                if not self._buffer:
+    def _post(self, status: RunStatus) -> None:
+        body = json.dumps(status.to_json()).encode("utf-8")
+        while True:
+            try:
+                self._client.request("POST", self.runlog_url + "/runs/status", body, self._headers)
+                return
+            except ClientError:
+                if self.queue.closed:
                     return
-            self._wake.set()
-            time.sleep(0.02)
+                time.sleep(0.2)
 
     def stop(self) -> None:
-        self.flush()
-        self._stop = True
-        self._wake.set()
+        self.queue.close()
 
 
 @dataclass
@@ -147,11 +116,6 @@ class PipeContext:
         self.segment = segment
         self.config = segment.config
         self.payload = segment.payload
-
-    def payload_bytes(self) -> bytes:
-        if self.payload is None:
-            return b""
-        return resolve_payload_bytes(self.payload)
 
     def emit(self, payload: Payload | None) -> int:
         """Forward one fresh descriptor copy carrying `payload` to successors.
@@ -192,7 +156,9 @@ class PipeService:
         self.directory = directory if directory is not None else {}
         self.reporter = StatusReporter(runlog_url, token)
         self.retry_delays = retry_delays
-        self.pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix=f"pipe-{service_id}")
+        self.queue = WorkQueue(
+            lambda job: self._execute(*job), f"pipe-{service_id}", workers, False, QUEUE_CAPACITY, ADMISSION_WAIT
+        )
         self.router = Router(name=service_id, token=token)
         self.router.route("POST", "/pipe", self._receive)
         self.client = HttpClient(timeout=30)
@@ -209,7 +175,8 @@ class PipeService:
             segment = my_segment(descriptor, self.service_id)
         except NotAddressedError as exc:
             return Response.error(400, "NotAddressed", str(exc))
-        self.pool.submit(self._execute, descriptor, segment)
+        if not self.queue.submit((descriptor, segment)):
+            return Response.error(503, "Busy", f"{self.service_id} has no room for run {descriptor.runId}")
         return Response.json(
             {"accepted": True, "runId": descriptor.runId, "segmentNumber": segment.segmentNumber},
             status=202,
@@ -287,5 +254,5 @@ class PipeService:
     def stop(self) -> None:
         if self._http is not None:
             self._http.stop()
-        self.pool.shutdown(wait=True)
+        self.queue.close()
         self.reporter.stop()

@@ -2,20 +2,15 @@
 
 from __future__ import annotations
 
-import logging
-import threading
-from concurrent.futures import ThreadPoolExecutor
-
 from ..httpkit import Request, Response, Router
 from ..registry.core import Event, Registry
 from ..vocab import Vocabulary, load_format_lists, load_vocabularies
+from ..workqueue import WorkQueue
 from .reports import aggregate_catalogue, render, report_to_triples
 from .scoring import QualityReport, annotate
 from .shapes import DEFAULT_SHAPES, Shape, validate
 from .similarity import EmptyTokenSetError, MinHashIndex, shingle_text, shingles
 from .urlcheck import check_urls
-
-logger = logging.getLogger(__name__)
 
 
 class UnknownDatasetError(KeyError):
@@ -60,9 +55,7 @@ class QualityService:
         self.similarity_floor = similarity_floor
         self.reports: dict[str, QualityReport] = {}
         self.minhash = MinHashIndex()
-        self.pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="quality")
-        self._in_flight: set[str] = set()
-        self._lock = threading.Lock()
+        self.queue = WorkQueue(lambda dataset_id: self.assess(dataset_id), "quality", workers, keyed=True)
         if subscribe:
             registry.events.subscribe(self.on_event)
 
@@ -73,30 +66,10 @@ class QualityService:
             self.reports.pop(event.dataset_id, None)
             self.minhash.remove(event.dataset_id)
             return
-        with self._lock:
-            if event.dataset_id in self._in_flight:
-                return
-            self._in_flight.add(event.dataset_id)
-        self.pool.submit(self._assess_async, event.dataset_id)
+        self.queue.submit(event.dataset_id)
 
-    def _assess_async(self, dataset_id: str) -> None:
-        try:
-            self.assess(dataset_id)
-        except Exception:
-            logger.exception("quality assessment failed for %s", dataset_id)
-        finally:
-            with self._lock:
-                self._in_flight.discard(dataset_id)
-
-    def drain(self, timeout: float = 30.0) -> None:
-        import time
-
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            with self._lock:
-                if not self._in_flight:
-                    return
-            time.sleep(0.02)
+    def drain(self, timeout: float = 30.0) -> bool:
+        return self.queue.drain(timeout)
 
     # -- assessment ---------------------------------------------------------
 

@@ -42,18 +42,12 @@ class _HostPacer:
         self._lock = threading.Lock()
 
     def wait(self, url: str) -> None:
-        if self.spacing <= 0:
-            return
         host = urlparse(url).netloc
-        while True:
-            with self._lock:
-                now = time.monotonic()
-                last = self._last.get(host, 0.0)
-                delay = last + self.spacing - now
-                if delay <= 0:
-                    self._last[host] = now
-                    return
-            time.sleep(min(delay, 0.05))
+        with self._lock:  # book the host's next free slot, then sleep until it
+            now = time.monotonic()
+            slot = max(now, self._last.get(host, 0.0) + self.spacing)
+            self._last[host] = slot
+        time.sleep(slot - now)
 
 
 def distribution_urls(graph: list[Triple]) -> dict[str, str]:

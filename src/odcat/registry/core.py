@@ -38,7 +38,7 @@ class Event:
 
 
 class EventBus:
-    """Synchronous in-process mutation feed; consumers bring their own pools."""
+    """Synchronous in-process mutation feed; asynchronous consumers hand each event to a WorkQueue."""
 
     def __init__(self) -> None:
         self._subscribers: list[Callable[[Event], None]] = []
@@ -240,15 +240,18 @@ class Registry:
             raise NotFoundError(dataset_id)
         return self._datasets[dataset_id]
 
-    def update_dataset_triples(self, dataset_id: str, triples: list[Triple], emit: bool = True) -> None:
-        """Replace an already-harmonized dataset graph (e.g. translation write-back)."""
+    def update_dataset_triples(self, dataset_id: str, triples: list[Triple], expected: list[Triple]) -> bool:
+        """Replace a harmonized dataset graph if it still equals `expected` as a set; False if not."""
         with self._write_lock:
             if dataset_id not in self._datasets:
                 raise NotFoundError(dataset_id)
             catalogue_id, _ = self._datasets[dataset_id]
-            self.store.replace_graph(self.scheme.dataset(dataset_id), triples)
-        if emit:
-            self.events.emit(Event("updated", dataset_id, catalogue_id))
+            graph_name = self.scheme.dataset(dataset_id)
+            if set(self.store.graph(graph_name)) != set(expected):
+                return False
+            self.store.replace_graph(graph_name, triples)
+        self.events.emit(Event("updated", dataset_id, catalogue_id))
+        return True
 
     def delete_dataset(self, dataset_id: str) -> None:
         with self._write_lock:

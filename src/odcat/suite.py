@@ -7,7 +7,6 @@ a service directory filled in as listeners bind.
 
 from __future__ import annotations
 
-import logging
 from pathlib import Path
 
 from .config import Config, SERVICE_NAMES, BadConfigError
@@ -24,8 +23,6 @@ from .harvester import MockPortal, make_exporter, make_importer, make_transforme
 from .harvester.fixtures import synthetic_records
 from .pipeline.service import HandlerResult
 from .vocab import load_vocabularies
-
-logger = logging.getLogger(__name__)
 
 
 def make_provider(spec: dict):
@@ -68,7 +65,6 @@ class Suite:
         self.store: QuadStore | None = None
         self._portal_records = portal_records
         self._portal_fixture_dir = portal_fixture_dir
-        self._started = False
 
     def enabled(self, name: str) -> bool:
         return name in self.services
@@ -203,7 +199,6 @@ class Suite:
             self._bind("exporter", svc.router)
             self.directory["exporter"] = self._http["exporter"].url
 
-        self._started = True
         return self
 
     def _bind(self, name: str, router: Router) -> None:
@@ -213,21 +208,22 @@ class Suite:
     def url(self, name: str) -> str:
         return self._http[name].url
 
-    def wait_quiescent(self, timeout: float = 30.0) -> None:
-        """Wait for asynchronous event consumers to finish."""
-        if self.quality is not None:
-            self.quality.drain(timeout)
-        if self.translation is not None:
-            self.translation.drain(timeout)
+    def wait_quiescent(self, timeout: float = 30.0) -> bool:
+        """Wait until quality and translation are idle together; False if either
+        drain times out. Translation goes first: its write-backs queue assessments."""
+        services = [svc for svc in (self.translation, self.quality) if svc is not None]
+        return all(svc.queue.drain(timeout) for svc in services)
 
     def stop(self) -> None:
         if self.scheduler is not None:
             self.scheduler.stop()
         for svc in self._pipe_services.values():
-            svc.pool.shutdown(wait=True)
-            svc.reporter.stop()
+            svc.stop()
         for http in self._http.values():
             http.stop()
+        # all writers are stopped; accepted enrichment lands before the store closes
+        for svc in (self.translation, self.quality):
+            if svc is not None:
+                svc.queue.close()
         if self.store is not None:
             self.store.close()
-        self._started = False

@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import logging
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 
 from .. import ns
 from ..httpkit import Request, Response, Router
 from ..rdf import IRI, Literal, Term, Triple
 from ..registry.core import Event, Registry
+from ..workqueue import WorkQueue
 from .providers import ProviderError
 from .tags import ExtendedLangTag, is_machine_tag
 
@@ -135,7 +134,9 @@ def translate_dataset(
 
     if not failed:
         new_triples.append((dataset, IRI(ns.ODN_TRANSLATION_COMPLETED), _now_literal()))
-    registry.update_dataset_triples(dataset_id, new_triples)
+    if not registry.update_dataset_triples(dataset_id, new_triples, graph):
+        # a newer write landed meanwhile; its event translates that version
+        return {"added": 0, "targets": [], "completed": False}
     return {"added": added, "targets": sorted(added_targets), "completed": not failed}
 
 
@@ -154,45 +155,17 @@ class TranslationService:
         self.provider = provider
         self.targets = targets
         self.default_lang = default_lang
-        self.pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="translate")
-        self._in_flight: set[str] = set()
-        self._lock = threading.Lock()
+        self.queue = WorkQueue(self.translate_now, "translate", workers, keyed=True)
         registry.events.subscribe(self.on_event)
 
     def on_event(self, event: Event) -> None:
-        if event.kind == "deleted" or not self.targets:
-            return
-        with self._lock:
-            if event.dataset_id in self._in_flight:
-                return
-            self._in_flight.add(event.dataset_id)
-        self.pool.submit(self._run, event.dataset_id)
-
-    def _run(self, dataset_id: str) -> None:
-        try:
-            translate_dataset(
-                self.registry, dataset_id, self.targets, self.provider, default_lang=self.default_lang
-            )
-        except Exception:
-            logger.exception("translation failed for %s", dataset_id)
-        finally:
-            with self._lock:
-                self._in_flight.discard(dataset_id)
+        if event.kind != "deleted" and self.targets:
+            self.queue.submit(event.dataset_id)
 
     def translate_now(self, dataset_id: str) -> dict:
         return translate_dataset(
             self.registry, dataset_id, self.targets, self.provider, default_lang=self.default_lang
         )
-
-    def drain(self, timeout: float = 10.0) -> None:
-        import time
-
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            with self._lock:
-                if not self._in_flight:
-                    return
-            time.sleep(0.02)
 
 
 def build_translation_router(service: TranslationService, token: str | None = None) -> Router:

@@ -143,6 +143,24 @@ def test_many_concurrent_submissions(three_services):
     assert len(set(run_ids)) == 50
 
 
+def test_connection_bursts_are_not_reset(three_services):
+    """Ten bursts of 50 new connections from 16 threads: none is reset by a
+    full listen backlog."""
+    import concurrent.futures
+
+    h = three_services
+    for _ in range(10):
+        with concurrent.futures.ThreadPoolExecutor(max_workers=16) as pool:
+            futures = [
+                pool.submit(submit_descriptor, h.directory["alpha"], ["alpha"])
+                for _ in range(50)
+            ]
+            errors = [f.exception() for f in futures if f.exception() is not None]
+        assert errors == []
+        assert [f.result().status_code for f in futures] == [202] * 50
+    assert wait_until(lambda: len(h.handlers["alpha"].calls) == 500, timeout=60)
+
+
 def test_standalone_service_without_runlog():
     handler = RecordingHandler("lone")
     service = PipeService("lone", handler, retry_delays=FAST_RETRIES).start()

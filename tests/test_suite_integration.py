@@ -2,6 +2,8 @@ import json
 import signal
 import subprocess
 import sys
+import threading
+import time
 import uuid
 
 import requests
@@ -9,8 +11,13 @@ import requests
 from conftest import free_port
 from harness import TOKEN, make_suite, run_harvest, wait_until
 
+from odcat import ns
 from odcat.cli import fixture_pipe_definition
 from odcat.harvester import synthetic_records
+from odcat.quality import service as quality_service
+from odcat.rdf import QuadStore, parse_turtle
+from odcat.registry import Registry
+from odcat.translation import EchoProvider
 
 ALL = [
     "scheduler", "registry", "search", "quality", "translation",
@@ -107,6 +114,88 @@ def test_translation_triggered_by_registry_events(tmp_path):
         assert resp.json()["added"] == 0
     finally:
         suite.stop()
+
+
+TITLED = """@prefix dcat: <http://www.w3.org/ns/dcat#> . @prefix dct: <http://purl.org/dc/terms/> .
+<http://s/d> a dcat:Dataset ; dct:title "{}"@en ."""
+
+
+def titles(graph):
+    return sorted((o.lexical, o.lang) for s, p, o in graph if p.value == ns.DCT_TITLE)
+
+
+def test_translation_write_back_never_reverts_a_newer_version(tmp_path, monkeypatch):
+    """A second version stored while the first is being translated wins, gets
+    its own translation, and is what the last quality assessment sees."""
+    assessed = []
+    validate = quality_service.validate
+
+    def recording_validate(graph, shapes):
+        assessed.append(titles(graph))
+        return validate(graph, shapes)
+
+    monkeypatch.setattr(quality_service, "validate", recording_validate)
+
+    class GatedEcho(EchoProvider):
+        started, release = threading.Event(), threading.Event()
+
+        def submit(self, texts, source, targets):
+            self.started.set()
+            assert self.release.wait(10)
+            return super().submit(texts, source, targets)
+
+    suite = make_suite(tmp_path, ["registry", "quality", "translation"], translation_targets=["fr"])
+    provider = suite.translation.provider = GatedEcho()
+    try:
+        suite.registry.put_catalogue("c")
+        suite.registry.put_dataset("c", "d", parse_turtle(TITLED.format("first version")))
+        assert provider.started.wait(10)  # the first version is being translated
+        suite.registry.put_dataset("c", "d", parse_turtle(TITLED.format("second version")))
+        provider.release.set()
+        suite.wait_quiescent()
+        expected = [("[en→fr] second version", "fr-t-en-t0-echo"), ("second version", "en")]
+        assert titles(suite.registry.dataset_graph("d")) == expected
+        assert assessed[-1] == expected
+    finally:
+        suite.stop()
+
+
+def test_stop_lands_queued_enrichment_before_the_store_closes(tmp_path, monkeypatch):
+    started = threading.Event()
+    validate = quality_service.validate
+
+    def slow_validate(graph, shapes):
+        started.set()
+        time.sleep(0.2)  # still assessing when stop() begins
+        return validate(graph, shapes)
+
+    monkeypatch.setattr(quality_service, "validate", slow_validate)
+    before = set(threading.enumerate())
+    suite = make_suite(tmp_path, ["registry", "quality", "translation"], translation_targets=["fr"])
+    auth = {"Authorization": f"Bearer {TOKEN}"}
+    registry_url = suite.url("registry")
+    requests.put(f"{registry_url}/catalogues/c", data="", headers=auth, timeout=30).raise_for_status()
+    resp = requests.put(
+        f"{registry_url}/datasets/d?catalogue=c",
+        data=TITLED.format("a title"),
+        headers={**auth, "Content-Type": "text/turtle"},
+        timeout=30,
+    )
+    assert resp.status_code == 201
+    assert started.wait(10)
+    suite.stop()
+    leaked = [
+        t.name for t in threading.enumerate()
+        if t not in before and t.name.startswith(("quality", "translate"))
+    ]
+    assert leaked == []
+    store = QuadStore(tmp_path / "data" / "store")
+    try:
+        reopened = Registry(store, suite.config.base_iri)
+        assert reopened.metrics_graph("d")
+        assert ("[en→fr] a title", "fr-t-en-t0-echo") in titles(reopened.dataset_graph("d"))
+    finally:
+        store.close()
 
 
 def test_serve_cli_subprocess(tmp_path):
