@@ -32,9 +32,10 @@ class RegistryClient:
         except ClientError as exc:
             raise RegistryError(f"registry unreachable: {exc}") from exc
 
-    def put_dataset(self, catalogue_id: str, original_id: str, turtle: str) -> str:
+    def put_dataset(self, catalogue_id: str, original_id: str, rdf: str, content_type: str) -> str:
+        """Write one dataset graph, as Turtle or N-Triples per `content_type`."""
         path = f"/datasets/{quote(original_id, safe='')}?catalogue={quote(catalogue_id)}"
-        resp = self._call("PUT", path, turtle.encode("utf-8"), "text/turtle")
+        resp = self._call("PUT", path, rdf.encode("utf-8"), content_type)
         if resp.status not in (200, 201):
             raise RegistryError(f"PUT dataset {original_id!r} answered {resp.status}: {resp.text[:200]}")
         return resp.json().get("result", "updated")

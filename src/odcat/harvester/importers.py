@@ -5,13 +5,24 @@ from __future__ import annotations
 
 import json
 import logging
+from collections import deque
 from datetime import datetime, timezone
 
 import requests
 
 from .. import ns
-from ..rdf import BlankNode, IRI, Literal, Term, Triple, parse_ntriples, parse_turtle, serialize_turtle
-from .records import SourceRecord
+from ..rdf import (  # noqa: F401 - bench/tracing.py times serialize_turtle here by name
+    BlankNode,
+    IRI,
+    Literal,
+    Term,
+    Triple,
+    parse_ntriples,
+    parse_turtle,
+    serialize_turtle,
+    serialize_wire,
+)
+from .records import WIRE_TYPE, SourceRecord
 
 logger = logging.getLogger(__name__)
 
@@ -38,25 +49,30 @@ def _fetch(url: str, timeout: float, session: requests.Session | None = None) ->
     return resp
 
 
-def bounded_description(graph: list[Triple], subject: Term) -> list[Triple]:
-    """Triples reachable from the subject through blank nodes plus its
-    distribution nodes (the record's concise bounded description)."""
+def subject_map(graph: list[Triple]) -> dict[Term, list[Triple]]:
+    """Each subject's triples, in document order."""
     by_subject: dict[Term, list[Triple]] = {}
     for t in graph:
         by_subject.setdefault(t[0], []).append(t)
+    return by_subject
+
+
+def bounded_description(by_subject: dict[Term, list[Triple]], subject: Term) -> list[Triple]:
+    """Triples reachable from the subject through blank nodes plus its
+    distribution nodes (the record's concise bounded description).
+
+    `by_subject` is the dump's `subject_map`, built once for all its datasets.
+    """
     out: list[Triple] = []
-    seen_nodes: set[Term] = set()
-    queue = [subject]
+    seen_nodes = {subject}
+    queue = deque([subject])
     while queue:
-        node = queue.pop(0)
-        if node in seen_nodes:
-            continue
-        seen_nodes.add(node)
-        for t in by_subject.get(node, []):
+        for t in by_subject.get(queue.popleft(), ()):
             out.append(t)
             obj = t[2]
             if isinstance(obj, BlankNode) or t[1].value == ns.DCAT_DISTRIBUTION:
                 if obj not in seen_nodes and not isinstance(obj, Literal):
+                    seen_nodes.add(obj)
                     queue.append(obj)
     return out
 
@@ -87,13 +103,14 @@ def import_rdf_dump(
             if p.value == ns.RDF_TYPE and isinstance(o, IRI) and o.value == ns.DCAT_DATASET
         )
     )
+    by_subject = subject_map(graph)
     records: list[SourceRecord] = []
     ids: list[str] = []
     seen: set[str] = set()
     warnings = 0
     fetched_at = _now()
     for subject in subjects:
-        description = bounded_description(graph, subject)
+        description = bounded_description(by_subject, subject)
         identifiers = [
             o.lexical
             for s, p, o in description
@@ -111,8 +128,8 @@ def import_rdf_dump(
             SourceRecord(
                 sourceId=source_id,
                 catalogueId=catalogue_id,
-                content=serialize_turtle(description),
-                contentType="text/turtle",
+                content=serialize_wire(description),
+                contentType=WIRE_TYPE,
                 fetchedAt=fetched_at,
             )
         )

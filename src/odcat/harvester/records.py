@@ -12,6 +12,8 @@ from ..pipeline.service import resolve_payload_bytes
 
 # identifier lists up to this size travel inline; larger ones via file pointer
 INLINE_ID_LIMIT = 10000
+# the content type of RDF records between importer, transformer and exporter
+WIRE_TYPE = "application/n-triples"
 
 
 @dataclass

@@ -13,11 +13,16 @@ import threading
 from collections import Counter
 
 from ..pipeline.service import HandlerResult, PipeContext, PipeService
-from ..rdf import ParseError, serialize_turtle
+from ..rdf import (  # noqa: F401 - bench/tracing.py times serialize_turtle here by name
+    ParseError,
+    serialize_turtle,
+    serialize_wire,
+)
 from .exporter import RegistryClient, RegistryError, finalize_sync
 from .importers import import_paged_json, import_rdf_dump
 from .mapping import MappingError, MappingRuleSet, PathError, transform
 from .records import (
+    WIRE_TYPE,
     IdentifierList,
     SourceRecord,
     marker_payload,
@@ -105,8 +110,8 @@ def make_transformer(
         out = SourceRecord(
             sourceId=record.sourceId,
             catalogueId=record.catalogueId,
-            content=serialize_turtle(triples),
-            contentType="text/turtle",
+            content=serialize_wire(triples),
+            contentType=WIRE_TYPE,
             fetchedAt=record.fetchedAt,
         )
         return HandlerResult(payload=record_payload(out), report_status=False)
@@ -156,7 +161,7 @@ def make_exporter(
         if envelope["kind"] == "record":
             record = SourceRecord.from_json(envelope["record"])
             try:
-                result = client.put_dataset(record.catalogueId, record.sourceId, record.content)
+                result = client.put_dataset(record.catalogueId, record.sourceId, record.content, record.contentType)
                 accounting.bump(run_id, result)
             except RegistryError as exc:
                 logger.warning("export failed for %s: %s", record.sourceId, exc)

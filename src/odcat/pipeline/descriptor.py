@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import base64
 import binascii
-import copy
 import json
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime
 
 
@@ -86,6 +85,19 @@ class Segment:
             body["payload"] = self.payload.to_json()
         return {"header": header, "body": body}
 
+    def copy(self) -> "Segment":
+        """A copy with its own header fields, payload and top-level config
+        dict. The config's values, mapping rules among them, stay shared:
+        handlers read their config and never mutate it."""
+        return Segment(
+            self.serviceId,
+            self.segmentNumber,
+            self.processed,
+            None if self.next is None else list(self.next),
+            dict(self.config),
+            None if self.payload is None else replace(self.payload),
+        )
+
 
 @dataclass
 class PipeDescriptor:
@@ -118,7 +130,9 @@ class PipeDescriptor:
         raise DescriptorSchemaError(f"no segment numbered {number}")
 
     def copy(self) -> "PipeDescriptor":
-        return copy.deepcopy(self)
+        """A copy whose header, segment list and segments are its own; see
+        `Segment.copy` for what the segments share."""
+        return replace(self, segments=[s.copy() for s in self.segments])
 
 
 @dataclass
@@ -308,8 +322,9 @@ def forward(
 ) -> list[tuple[str, PipeDescriptor]]:
     """Mark a segment done and produce one descriptor copy per successor.
 
-    Copies are deep, so downstream mutation of one copy never leaks into its
-    siblings. A terminal segment yields an empty list.
+    Each copy has its own segments and payloads, so downstream mutation of
+    one copy never leaks into its siblings (`Segment.copy` says what they
+    share). A terminal segment yields an empty list.
     """
     seg = descriptor.segment(completed)
     if seg.processed:
@@ -317,7 +332,7 @@ def forward(
     seg.processed = True
     targets = successors(descriptor, completed)
     for number in targets:
-        descriptor.segment(number).payload = copy.deepcopy(out_payload)
+        descriptor.segment(number).payload = None if out_payload is None else replace(out_payload)
     out: list[tuple[str, PipeDescriptor]] = []
     for number in targets:
         out.append((descriptor.segment(number).serviceId, descriptor.copy()))

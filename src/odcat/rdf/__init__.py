@@ -3,7 +3,7 @@
 from .terms import IRI, BlankNode, Literal, Quad, Term, Triple
 from .turtle import ParseError, UnresolvedPrefixError, parse_turtle
 from .ntriples import parse_ntriples
-from .serialize import serialize, serialize_ntriples, serialize_turtle
+from .serialize import serialize, serialize_ntriples, serialize_turtle, serialize_wire
 from .canon import canonical_ntriples, canonicalize, isomorphic
 from .store import QuadStore
 from .query import GraphQuery, Var, query
@@ -22,6 +22,7 @@ __all__ = [
     "serialize",
     "serialize_ntriples",
     "serialize_turtle",
+    "serialize_wire",
     "canonicalize",
     "canonical_ntriples",
     "isomorphic",

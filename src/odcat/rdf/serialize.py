@@ -68,10 +68,51 @@ def serialize_ntriples(triples: Iterable[Triple]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def _sort_key(term: Term) -> tuple:
+    return (isinstance(term, BlankNode), format_term(term).encode("utf-8"))
+
+
+def _subject_groups(triples: Iterable[Triple]) -> list[tuple[Term, list[tuple[IRI, list[Term]]]]]:
+    """Triples grouped in the order both record serializers write them.
+
+    Subjects come IRIs first, then blank nodes, each by their N-Triples
+    bytes; a subject's predicates come `rdf:type` first, then in the same
+    order; each predicate's objects are de-duplicated and sorted the same
+    way. The registry numbers distributions in document order, so this order
+    decides their `#dist-N` IRIs.
+    """
+    grouped: dict[Term, dict[IRI, list[Term]]] = {}
+    for s, p, o in triples:
+        grouped.setdefault(s, {}).setdefault(p, []).append(o)
+    return [
+        (
+            s,
+            [
+                (p, sorted(set(grouped[s][p]), key=_sort_key))
+                for p in sorted(grouped[s], key=lambda p: (p.value != RDF_TYPE, _sort_key(p)))
+            ],
+        )
+        for s in sorted(grouped, key=_sort_key)
+    ]
+
+
+def serialize_wire(triples: Iterable[Triple]) -> str:
+    """N-Triples lines in `serialize_turtle`'s order: how records travel
+    between the suite's services. Parsing them gives the same triple list
+    as parsing the Turtle form."""
+    lines = []
+    for s, predicates in _subject_groups(triples):
+        subject = format_term(s)
+        for p, objects in predicates:
+            head = f"{subject} <{p.value}> "
+            lines.extend(f"{head}{format_term(o)} ." for o in objects)
+    return "\n".join(lines) + "\n" if lines else ""
+
+
 def serialize_turtle(triples: Iterable[Triple], prefixes: dict[str, str] | None = None) -> str:
     """Compact Turtle grouped by subject, deterministic ordering."""
-    triples = list(triples)
-    if not triples:
+    groups = _subject_groups(triples)
+    if not groups:
         return ""
     prefix_map = dict(DEFAULT_PREFIXES)
     if prefixes:
@@ -101,20 +142,12 @@ def serialize_turtle(triples: Iterable[Triple], prefixes: dict[str, str] | None 
             return format_term(term)
         return format_term(term)
 
-    def sort_key(term: Term) -> tuple:
-        return (isinstance(term, BlankNode), format_term(term).encode("utf-8"))
-
-    grouped: dict[Term, dict[IRI, list[Term]]] = {}
-    for s, p, o in triples:
-        grouped.setdefault(s, {}).setdefault(p, []).append(o)
-
     blocks: list[str] = []
-    for s in sorted(grouped, key=sort_key):
-        pred_lines = []
-        type_first = sorted(grouped[s], key=lambda p: (p.value != RDF_TYPE, sort_key(p)))
-        for p in type_first:
-            objects = ", ".join(term_text(o) for o in sorted(set(grouped[s][p]), key=sort_key))
-            pred_lines.append(f"    {term_text(p, as_predicate=True)} {objects}")
+    for s, predicates in groups:
+        pred_lines = [
+            f"    {term_text(p, as_predicate=True)} " + ", ".join(term_text(o) for o in objects)
+            for p, objects in predicates
+        ]
         blocks.append(term_text(s) + "\n" + " ;\n".join(pred_lines) + " .")
 
     body = "\n\n".join(blocks)

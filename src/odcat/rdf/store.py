@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import logging
 import os
+import re
 import threading
 from pathlib import Path
 from typing import Iterable
@@ -20,15 +21,30 @@ def _format_quad(q: Quad) -> str:
     return f"{format_term(q.subject)} {format_term(q.predicate)} {format_term(q.object)} <{q.graph}> ."
 
 
+_BATCH_COUNT_RE = re.compile(r"B ([1-9][0-9]*)\Z")
+
+
+def _batch_count(line: str, lineno: int) -> int:
+    """The number of lines a `B <count>` header announces."""
+    m = _BATCH_COUNT_RE.match(line)
+    if m is None:
+        raise ParseError("invalid write-ahead log batch header", lineno, 3)
+    return int(m.group(1))
+
+
 class QuadStore:
     """Set-semantics quad store indexed by graph, subject, and (pred, obj).
 
     All mutations are serialized by one lock and, when a data directory is
-    configured, appended to a write-ahead log of N-Quads lines. `compact()`
-    folds the log into a snapshot; opening a data directory replays
-    snapshot + log in one pass over each. A final log line without its
-    newline is a torn write: replay drops it, counts it in `torn_wal_lines`
-    and cuts it off the file, so the next append starts on a fresh line.
+    configured, appended to a write-ahead log of N-Quads lines. A mutation
+    of several lines (`replace_graph`, `add_all`) is written in one write,
+    behind a header line `B <count>`. `compact()` folds the log into a
+    snapshot; opening a data directory replays snapshot + log in one pass
+    over each. A crash can tear the log's tail: replay applies a mutation
+    only when all of its lines are complete, so a final line without its
+    newline, or a header followed by fewer lines than it counts, is dropped,
+    counted once in `torn_wal_lines` and cut off the file, and the next
+    append starts on a fresh line.
     """
 
     def __init__(self, data_dir: str | Path | None = None, compact_every: int = 500_000):
@@ -69,7 +85,10 @@ class QuadStore:
             return
         data = self._wal_path.read_bytes()
         complete = data.rfind(b"\n") + 1
-        for lineno, line in enumerate(data[:complete].decode("utf-8").split("\n"), 1):
+        lines = data[:complete].decode("utf-8").split("\n")
+        lines.pop()  # the empty string after the final newline
+        keep = complete
+        for lineno, line in enumerate(lines, 1):
             op = line[:2]
             if op == "A ":
                 self._index_add(parser.quad(line, lineno, 2))
@@ -77,21 +96,29 @@ class QuadStore:
                 self._index_remove(parser.quad(line, lineno, 2))
             elif op == "C ":
                 self._clear_graph(parser.graph_name(line, lineno, 2))
+            elif op == "B ":
+                if lineno + _batch_count(line, lineno) > len(lines):
+                    # cut the mutation off at its header
+                    keep = complete - len("\n".join(lines[lineno - 1 :]).encode("utf-8")) - 1
+                    break
             elif line.strip():
                 raise ParseError("unknown write-ahead log operation", lineno, 1)
-        if complete < len(data):
+        if keep < len(data):
             self.torn_wal_lines += 1
             logger.warning(
-                "dropped torn final line of %s: %r",
+                "dropped a torn mutation at the end of %s: %r",
                 self._wal_path,
-                data[complete:].decode("utf-8", errors="replace"),
+                data[keep:].decode("utf-8", errors="replace"),
             )
-            os.truncate(self._wal_path, complete)
+            os.truncate(self._wal_path, keep)
 
-    def _log(self, line: str) -> None:
-        if self._wal is not None:
-            self._wal.write(line + "\n")
-            self._wal_lines += 1
+    def _log(self, lines: list[str]) -> None:
+        """Append one mutation's lines, behind a header if there are several."""
+        if self._wal is not None and lines:
+            if len(lines) > 1:
+                lines.insert(0, f"B {len(lines)}")
+            self._wal.write("\n".join(lines) + "\n")
+            self._wal_lines += len(lines)
 
     def _flush(self) -> None:
         if self._wal is not None:
@@ -143,27 +170,27 @@ class QuadStore:
         with self._lock:
             added = self._index_add(q)
             if added:
-                self._log("A " + _format_quad(q))
+                self._log(["A " + _format_quad(q)])
                 self._flush()
             return added
 
     def add_all(self, graph: str, triples: Iterable[Triple]) -> int:
         with self._lock:
-            n = 0
+            lines = []
             for t in triples:
                 q = Quad(t[0], t[1], t[2], graph)
                 if self._index_add(q):
-                    self._log("A " + _format_quad(q))
-                    n += 1
+                    lines.append("A " + _format_quad(q))
+            self._log(lines)
             self._flush()
-            return n
+            return len(lines)
 
     def remove(self, graph: str, triple: Triple) -> bool:
         q = Quad(triple[0], triple[1], triple[2], graph)
         with self._lock:
             removed = self._index_remove(q)
             if removed:
-                self._log("D " + _format_quad(q))
+                self._log(["D " + _format_quad(q)])
                 self._flush()
             return removed
 
@@ -172,7 +199,7 @@ class QuadStore:
         with self._lock:
             n = self._clear_graph(graph)
             if n:
-                self._log(f"C <{graph}>")
+                self._log([f"C <{graph}>"])
                 self._flush()
             return n
 
@@ -180,11 +207,12 @@ class QuadStore:
         """Atomically swap the contents of a named graph."""
         with self._lock:
             self._clear_graph(graph)
-            self._log(f"C <{graph}>")
+            lines = [f"C <{graph}>"]
             for t in triples:
                 q = Quad(t[0], t[1], t[2], graph)
                 if self._index_add(q):
-                    self._log("A " + _format_quad(q))
+                    lines.append("A " + _format_quad(q))
+            self._log(lines)
             self._flush()
 
     def graph(self, graph: str) -> list[Triple]:

@@ -39,7 +39,6 @@ class UnresolvedPrefixError(ParseError):
     """A prefixed name uses a prefix that was never declared."""
 
 
-_PN_LOCAL_EXTRA = set("_-.%:")
 _ECHAR = {
     "t": "\t",
     "b": "\b",
@@ -60,6 +59,18 @@ _DECIMAL_RE = re.compile(r"[+-]?[0-9]*\.[0-9]+")
 _DOUBLE_RE = re.compile(
     r"[+-]?(?:[0-9]+\.[0-9]*[eE][+-]?[0-9]+|\.?[0-9]+[eE][+-]?[0-9]+)"
 )
+_WS_RE = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)*")
+_WORD_RE = re.compile(r"@?[A-Za-z]+")
+_PNAME_NS_RE = re.compile(r"[A-Za-z0-9_.\-]*:")
+_PREFIX_LABEL_RE = re.compile(r"[^: \t\r\n<]*")
+# a local name: letters, digits and _-.%: (\w is isalnum() plus '_'), or a
+# backslash that takes the next character as it is
+_PN_LOCAL_RE = re.compile(r"(?:[\w\-.%:]|\\[\s\S]?)*")
+_PN_LOCAL_PART_RE = re.compile(r"\\[\s\S]?|%[0-9A-Fa-f]{2}|[\s\S]")
+_BLANK_LABEL_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.\-]*")
+# the common forms of IRIs and short strings: no escapes, nothing to report
+_PLAIN_IRIREF_RE = re.compile(r"<([^>\\ \t\r\n]*)>")
+_PLAIN_STRING_RE = {'"': re.compile(r'"([^"\\\n]*)"'), "'": re.compile(r"'([^'\\\n]*)'")}
 
 
 def parse_turtle(text: str, base_iri: str = "") -> list[Triple]:
@@ -68,11 +79,13 @@ def parse_turtle(text: str, base_iri: str = "") -> list[Triple]:
 
 
 class _TurtleParser:
+    """Scans by offset: each token is matched in place with
+    `pattern.match(text, pos)`, and line and column are worked out only for
+    an error."""
+
     def __init__(self, text: str, base_iri: str):
         self.text = text
         self.pos = 0
-        self.line = 1
-        self.col = 1
         self.base = base_iri
         self.prefixes: dict[str, str] = {}
         self.triples: list[Triple] = []
@@ -90,8 +103,13 @@ class _TurtleParser:
 
     # -- scanning ------------------------------------------------------
 
+    def location(self, pos: int) -> tuple[int, int]:
+        """(line, column) of an offset, both counted from 1."""
+        pos = min(pos, len(self.text))
+        return self.text.count("\n", 0, pos) + 1, pos - self.text.rfind("\n", 0, pos)
+
     def error(self, message: str) -> ParseError:
-        return ParseError(message, self.line, self.col)
+        return ParseError(message, *self.location(self.pos))
 
     def at_end(self) -> bool:
         return self.pos >= len(self.text)
@@ -102,29 +120,15 @@ class _TurtleParser:
 
     def advance(self, n: int = 1) -> str:
         chunk = self.text[self.pos : self.pos + n]
-        for c in chunk:
-            if c == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
         self.pos += n
         return chunk
 
     def skip_ws(self) -> None:
-        while not self.at_end():
-            c = self.peek()
-            if c in " \t\r\n":
-                self.advance()
-            elif c == "#":
-                while not self.at_end() and self.peek() != "\n":
-                    self.advance()
-            else:
-                return
+        self.pos = _WS_RE.match(self.text, self.pos).end()
 
     def expect(self, token: str) -> None:
         if self.text.startswith(token, self.pos):
-            self.advance(len(token))
+            self.pos += len(token)
         else:
             raise self.error(f"expected {token!r}")
 
@@ -163,7 +167,7 @@ class _TurtleParser:
         return False
 
     def _peek_word(self) -> str:
-        m = re.match(r"@?[A-Za-z]+", self.text[self.pos :])
+        m = _WORD_RE.match(self.text, self.pos)
         return m.group(0) if m else ""
 
     def _parse_prefix(self, sparql_form: bool) -> None:
@@ -184,12 +188,10 @@ class _TurtleParser:
             self.expect(".")
 
     def _scan_pname_ns(self) -> str:
-        start = self.pos
-        while not self.at_end() and self.peek() != ":" and self.peek() not in " \t\r\n<":
-            self.advance()
-        label = self.text[start : self.pos]
+        m = _PREFIX_LABEL_RE.match(self.text, self.pos)
+        self.pos = m.end()
         self.expect(":")
-        return label
+        return m.group(0)
 
     def _parse_triples_statement(self) -> None:
         if self.peek() == "[":
@@ -214,11 +216,11 @@ class _TurtleParser:
                 self.triples.append((subject, predicate, obj))
                 self.skip_ws()
                 if self.peek() == ",":
-                    self.advance()
+                    self.pos += 1
                     continue
                 break
             if self.peek() == ";":
-                self.advance()
+                self.pos += 1
                 self.skip_ws()
                 # trailing ';' before '.' or ']' is legal
                 if self.peek() in (".", "]") or self.at_end():
@@ -229,7 +231,7 @@ class _TurtleParser:
     def _parse_verb(self) -> IRI:
         nxt = self.peek(1)
         if self.peek() == "a" and not (nxt.isalnum() or nxt in "_-.:"):
-            self.advance()
+            self.pos += 1
             return IRI(RDF_TYPE)
         return self._parse_iri()
 
@@ -258,10 +260,10 @@ class _TurtleParser:
             if lit is not None:
                 return lit
         if self.text.startswith("true", self.pos) and not self._is_pn_char(self.peek(4)):
-            self.advance(4)
+            self.pos += 4
             return Literal("true", XSD_BOOLEAN)
         if self.text.startswith("false", self.pos) and not self._is_pn_char(self.peek(5)):
-            self.advance(5)
+            self.pos += 5
             return Literal("false", XSD_BOOLEAN)
         return self._parse_iri()
 
@@ -270,32 +272,38 @@ class _TurtleParser:
         return bool(c) and (c.isalnum() or c in "_-")
 
     def _try_numeric_literal(self) -> Literal | None:
-        rest = self.text[self.pos :]
         for regex, datatype in ((_DOUBLE_RE, XSD_DOUBLE), (_DECIMAL_RE, XSD_DECIMAL), (_INTEGER_RE, XSD_INTEGER)):
-            m = regex.match(rest)
+            m = regex.match(self.text, self.pos)
             if m:
-                self.advance(m.end())
+                self.pos = m.end()
                 return Literal(m.group(0), datatype)
         return None
 
     # -- terms ---------------------------------------------------------
 
     def _parse_iri(self) -> IRI:
-        if self.peek() == "<":
-            return IRI(self._scan_iriref())
-        return self._parse_prefixed_name()
+        start = self.pos
+        value = self._scan_iriref() if self.peek() == "<" else self._scan_prefixed_name()
+        try:
+            return IRI(value)
+        except ValueError as exc:  # the term model refuses characters, such as '{', that the scanner passes
+            raise ParseError(str(exc), *self.location(start)) from None
 
     def _scan_iriref(self) -> str:
+        m = _PLAIN_IRIREF_RE.match(self.text, self.pos)
+        if m:
+            self.pos = m.end()
+            return self._resolve(m.group(1))
         if self.peek() != "<":
             raise self.error("expected IRI")
-        self.advance()
+        self.pos += 1
         out: list[str] = []
         while True:
             if self.at_end():
                 raise self.error("unterminated IRI")
             c = self.peek()
             if c == ">":
-                self.advance()
+                self.pos += 1
                 break
             if c in " \t\n\r":
                 raise self.error("whitespace inside IRI")
@@ -322,48 +330,38 @@ class _TurtleParser:
         digits = self.text[self.pos : self.pos + width]
         if len(digits) != width or not _HEX_RE.fullmatch(digits) or int(digits, 16) > 0x10FFFF:
             raise self.error(f"invalid unicode escape \\{kind}{digits}")
-        self.advance(width)
+        self.pos += width
         return chr(int(digits, 16))
 
-    def _parse_prefixed_name(self) -> IRI:
-        start_line, start_col = self.line, self.col
-        m = re.match(r"[A-Za-z0-9_.\-]*:", self.text[self.pos :])
+    def _scan_prefixed_name(self) -> str:
+        start = self.pos
+        m = _PNAME_NS_RE.match(self.text, start)
         if not m:
             raise self.error("expected IRI, prefixed name, literal, or blank node")
         prefix = m.group(0)[:-1]
-        self.advance(m.end())
         if prefix not in self.prefixes:
-            raise UnresolvedPrefixError(f"undeclared prefix {prefix + ':'!r}", start_line, start_col)
-        local: list[str] = []
-        while not self.at_end():
-            c = self.peek()
-            if c == "\\":
-                self.advance()
-                local.append(self.advance())
-            elif c == "%" and re.match(r"%[0-9A-Fa-f]{2}", self.text[self.pos :]):
-                local.append(self.advance(3))
-            elif c.isalnum() or c in _PN_LOCAL_EXTRA:
-                local.append(self.advance())
-            else:
-                break
+            raise UnresolvedPrefixError(f"undeclared prefix {prefix + ':'!r}", *self.location(start))
+        m = _PN_LOCAL_RE.match(self.text, m.end())
+        local = m.group(0)
+        self.pos = m.end()
+        if "\\" in local:
+            parts = [p[1:] if p[0] == "\\" else p for p in _PN_LOCAL_PART_RE.findall(local)]
+        else:
+            parts = [local.rstrip(".")]
+            self.pos -= len(local) - len(parts[0])
         # a trailing '.' terminates the statement, not the name
-        while local and local[-1] == ".":
-            local.pop()
+        while parts and parts[-1] == ".":
+            parts.pop()
             self.pos -= 1
-            self.col -= 1
-        return IRI(self.prefixes[prefix] + "".join(local))
+        return self.prefixes[prefix] + "".join(parts)
 
     def _parse_blank_label(self) -> BlankNode:
         self.expect("_:")
-        m = re.match(r"[A-Za-z0-9_][A-Za-z0-9_.\-]*", self.text[self.pos :])
+        m = _BLANK_LABEL_RE.match(self.text, self.pos)
         if not m:
             raise self.error("invalid blank node label")
-        label = m.group(0)
-        self.advance(len(label))
-        while label.endswith("."):
-            label = label[:-1]
-            self.pos -= 1
-            self.col -= 1
+        label = m.group(0).rstrip(".")
+        self.pos += len(label)
         return BlankNode(label)
 
     def _parse_blank_node_property_list(self) -> BlankNode:
@@ -372,7 +370,7 @@ class _TurtleParser:
         self._anon += 1
         self.skip_ws()
         if self.peek() == "]":
-            self.advance()
+            self.pos += 1
             return node
         self._parse_predicate_object_list(node)
         self.skip_ws()
@@ -382,15 +380,14 @@ class _TurtleParser:
     def _parse_rdf_literal(self) -> Literal:
         lexical = self._scan_string()
         if self.peek() == "@":
-            self.advance()
-            m = _LANGTAG_RE.match(self.text[self.pos :])
+            self.pos += 1
+            m = _LANGTAG_RE.match(self.text, self.pos)
             if not m:
                 raise self.error("invalid language tag")
-            tag = m.group(0)
-            self.advance(len(tag))
-            return Literal(lexical, lang=tag)
+            self.pos = m.end()
+            return Literal(lexical, lang=m.group(0))
         if self.text.startswith("^^", self.pos):
-            self.advance(2)
+            self.pos += 2
             dt = self._parse_iri()
             return Literal(lexical, dt.value)
         return Literal(lexical, XSD_STRING)
@@ -400,7 +397,18 @@ class _TurtleParser:
         if quote not in "\"'":
             raise self.error("expected string literal")
         long = self.text.startswith(quote * 3, self.pos)
-        self.advance(3 if long else 1)
+        if long:
+            close = self.text.find(quote * 3, self.pos + 3)
+            if close >= 0 and "\\" not in self.text[self.pos + 3 : close]:
+                lexical = self.text[self.pos + 3 : close]
+                self.pos = close + 3
+                return lexical
+        else:
+            m = _PLAIN_STRING_RE[quote].match(self.text, self.pos)
+            if m:
+                self.pos = m.end()
+                return m.group(1)
+        self.pos += 3 if long else 1
         out: list[str] = []
         while True:
             if self.at_end():
@@ -408,22 +416,21 @@ class _TurtleParser:
             c = self.peek()
             if long:
                 if self.text.startswith(quote * 3, self.pos):
-                    self.advance(3)
+                    self.pos += 3
                     return "".join(out)
             elif c == quote:
-                self.advance()
+                self.pos += 1
                 return "".join(out)
             elif c == "\n":
                 raise self.error("newline in single-quoted string")
             if c == "\\":
-                self.advance()
+                self.pos += 1
                 esc = self.peek()
                 if esc in _ECHAR:
                     out.append(_ECHAR[esc])
-                    self.advance()
+                    self.pos += 1
                 elif esc in ("u", "U"):
                     self.pos -= 1
-                    self.col -= 1
                     out.append(self._scan_uchar())
                 else:
                     raise self.error(f"invalid string escape \\{esc}")

@@ -192,6 +192,23 @@ def test_fan_out_isolation():
     assert "poison" not in second.segment(1).config
 
 
+def test_copies_own_their_segments_and_payloads():
+    doc = make_doc([make_segment("a", 0, nxt=[1, 2]), make_segment("b", 1), make_segment("c", 2)])
+    original = parse_descriptor(dumps(doc))
+    original.segment(1).payload = Payload.text("orig")
+    before = original.dumps()
+    first, second = original.copy(), original.copy()
+    first.segment(0).processed = True
+    first.segment(0).next.append(3)
+    first.segment(1).payload.data = "mutated"
+    first.segment(2).payload = Payload.text("new")
+    first.segments.pop()
+    first.runId = "changed"
+    assert original.dumps() == before
+    assert second.dumps() == before
+    assert second.segment(1).config is not original.segment(1).config
+
+
 # -- round-trip property ---------------------------------------------------
 
 service_names = st.sampled_from(["importer", "transformer", "exporter", "indexer"])

@@ -173,7 +173,7 @@ def test_rdf_dump_three_datasets(dump_portal):
     assert len(records) == 3
     assert ids == ["set-00000", "set-00001", "set-00002"]
     assert warnings == 0
-    assert all(r.contentType == "text/turtle" for r in records)
+    assert all(r.contentType == "application/n-triples" for r in records)
 
 
 def test_rdf_dump_record_contains_bounded_description(dump_portal):

@@ -207,6 +207,22 @@ def test_turtle_unicode_escape_needs_exact_hex_digits(turtle):
     assert "invalid unicode escape" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "turtle, column",
+    [
+        ('<http://x/s> <http://x/p> <http://x/a{b}> .', 27),
+        ('<http://x/s> <http://x/p> "x"^^<http://x/a|b> .', 32),
+        ('@prefix ex: <http://x/> .\n<http://x/s> ex:a\\^b "x" .', 14),
+    ],
+    ids=["brace-in-iri", "bar-in-datatype", "escaped-caret-in-name"],
+)
+def test_turtle_iri_with_a_forbidden_character_is_a_parse_error(turtle, column):
+    with pytest.raises(ParseError) as err:
+        parse_turtle(turtle)
+    assert "forbidden character" in str(err.value)
+    assert err.value.column == column
+
+
 def test_turtle_unicode_escapes_in_literal_and_iri():
     ((s, p, o),) = parse_turtle('<http://x/caf\\u00E9> <http://x/p> "\\U0001F600\\u00e9" .')
     assert s == IRI("http://x/café")

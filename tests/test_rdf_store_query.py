@@ -69,24 +69,32 @@ def _last_mutation(store, op):
         store.add(G2, (IRI("http://x/b"), TITLE, Literal("naïve ✓ \u2028 \"q\"", lang="fr")))
     elif op == "D":
         store.remove(G1, (IRI("http://x/a"), TITLE, Literal("zwei")))
-    else:
+    elif op == "C":
         store.delete_graph(G1)
+    elif op == "R":  # a clear line and three adds
+        store.replace_graph(G1, [(IRI("http://x/a"), TITLE, Literal(f"neu {i} ☂")) for i in range(3)])
+    else:  # two adds
+        store.add_all(G2, [(IRI("http://x/c"), TITLE, Literal("ä")), (IRI("http://x/c"), TITLE, Literal("b"))])
 
 
-@pytest.mark.parametrize("op", ["A", "D", "C"])
+@pytest.mark.parametrize("op", ["A", "D", "C", "R", "M"])
 def test_torn_wal_tail_reopens_at_the_state_before_the_last_mutation(tmp_path, op):
     store = QuadStore(tmp_path / "live")
     store.add(G1, (IRI("http://x/a"), TITLE, Literal("café\t\x01 ☂", lang="en")))
     store.add(G1, (IRI("http://x/a"), TITLE, Literal("zwei")))
     store.add(G2, (BlankNode("b1"), TITLE, Literal("3", "http://www.w3.org/2001/XMLSchema#integer")))
     before = set(store.match())
+    last = (tmp_path / "live" / "wal.nq").stat().st_size
     _last_mutation(store, op)
     after = set(store.match())
     assert after != before
     data = (tmp_path / "live" / "wal.nq").read_bytes()
     store.close()
-    last = data.rstrip(b"\n").rfind(b"\n") + 1
-    assert data[last : last + 2] == f"{op} ".encode()
+    mutation = data[last:].decode("utf-8").split("\n")[:-1]
+    if op in "ADC":
+        assert len(mutation) == 1 and mutation[0].startswith(f"{op} ")
+    else:  # several lines behind a header that counts them
+        assert mutation[0] == f"B {len(mutation) - 1}" and len(mutation) > 2
 
     extra = (IRI("http://x/extra"), TITLE, Literal("après"))
     for cut in range(last, len(data) + 1):
@@ -105,6 +113,20 @@ def test_torn_wal_tail_reopens_at_the_state_before_the_last_mutation(tmp_path, o
         assert set(again.match()) == expected, cut
         assert again.torn_wal_lines == 0
         again.close()
+
+
+def test_wal_without_batch_headers_still_replays(tmp_path):
+    lines = [
+        f'A <http://x/a> <{TITLE.value}> "one" <{G1}> .',
+        f"C <{G1}>",
+        f'A <http://x/a> <{TITLE.value}> "two" <{G1}> .',
+        f'A <http://x/b> <{TITLE.value}> "three" <{G1}> .',
+        f'D <http://x/b> <{TITLE.value}> "three" <{G1}> .',
+    ]
+    (tmp_path / "wal.nq").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    store = QuadStore(tmp_path)
+    assert set(store.match()) == {Quad(IRI("http://x/a"), TITLE, Literal("two"), G1)}
+    assert store.torn_wal_lines == 0
 
 
 @pytest.mark.parametrize(

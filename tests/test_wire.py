@@ -1,0 +1,314 @@
+"""Records cross the suite as N-Triples in the Turtle serializer's order.
+
+The registry numbers distributions (`#dist-N`) in document order, so the
+wire must keep that order for the stored graphs to stay what the Turtle
+path stored. These tests hold the wire to the Turtle round trip: through a
+whole harvest, for any graph the transformer can emit, and in how the dump
+split and the Turtle scanner scale.
+"""
+
+from __future__ import annotations
+
+import json
+import time
+import uuid
+
+import pytest
+import requests
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from conftest import graphs
+from harness import TOKEN, make_suite, run_harvest
+
+from odcat import ns
+from odcat.harvester import synthetic_records
+from odcat.harvester.fixtures import default_mapping_rules, records_to_dump_turtle
+from odcat.harvester.importers import bounded_description, subject_map
+from odcat.harvester.mapping import MappingRuleSet, transform
+from odcat.harvester.records import SourceRecord
+from odcat.rdf import (
+    IRI,
+    BlankNode,
+    Literal,
+    QuadStore,
+    canonical_ntriples,
+    parse_ntriples,
+    parse_turtle,
+    serialize_turtle,
+    serialize_wire,
+)
+from odcat.registry.core import Registry
+
+SERVICES = ["scheduler", "registry", "importer", "transformer", "exporter", "portal"]
+
+# a dataset whose distributions' blank labels sort against document order
+# (_:zz first in the dump, _:aa second), next to one with a nested blank node
+EXTRA_DUMP = """
+@prefix dcat: <http://www.w3.org/ns/dcat#> .
+@prefix dct: <http://purl.org/dc/terms/> .
+@prefix xsd: <http://www.w3.org/2001/XMLSchema#> .
+
+<http://portal.test/datasets/w1> a dcat:Dataset ;
+    dct:identifier "w1" ;
+    dct:title "Wire one"@en ;
+    dcat:distribution _:zz, _:aa .
+_:zz a dcat:Distribution ; dcat:accessURL <http://files.test/first.csv> ; dct:format "CSV" .
+_:aa a dcat:Distribution ; dcat:accessURL <http://files.test/second.json> .
+
+<http://portal.test/datasets/w2> a dcat:Dataset ;
+    dct:identifier "w2" ;
+    dct:title "Zwei \\"zitiert\\"\\nZeile \\u00e9 \\U0001F600"@de-AT ;
+    dct:issued "2024-01-01"^^xsd:date ;
+    dcat:contactPoint [ a <http://www.w3.org/2006/vcard/ns#Kind> ; <http://www.w3.org/2006/vcard/ns#fn> "Desk" ] .
+"""
+
+
+def many_distributions() -> dict:
+    """A JSON record with 12 resources: the transformer labels them
+    _:dist0 .. _:dist11, and _:dist10 sorts before _:dist2."""
+    record = dict(synthetic_records(1, seed=3)[0])
+    record["id"] = "wide"
+    record["resources"] = [{"format": "csv", "url": f"http://files.test/wide/{i}.csv"} for i in range(12)]
+    return record
+
+
+def pipe(pipe_id: str, services: list[str], importer_config: dict) -> dict:
+    configs = {
+        "importer": importer_config,
+        "transformer": {"mappingRules": default_mapping_rules()},
+        "exporter": {"allowEmptySync": False},
+    }
+    segments = [
+        {"header": {"serviceId": s, "segmentNumber": n, "processed": False}, "body": {"config": configs[s]}}
+        for n, s in enumerate(services)
+    ]
+    return {
+        "pipeId": pipe_id,
+        "name": "wire",
+        "enabled": True,
+        "descriptorTemplate": {
+            "header": {"pipeId": pipe_id, "runId": None, "name": "wire", "version": "1.0", "startTime": ""},
+            "body": {"segments": segments},
+        },
+        "triggers": [],
+    }
+
+
+def description(graph, subject):
+    """The concise bounded description, found by a plain fixpoint."""
+    out, reached, frontier = set(), {subject}, [subject]
+    while frontier:
+        node = frontier.pop()
+        for s, p, o in graph:
+            if s == node:
+                out.add((s, p, o))
+                if (isinstance(o, BlankNode) or p.value == ns.DCAT_DISTRIBUTION) and o not in reached:
+                    reached.add(o)
+                    frontier.append(o)
+    return list(out)
+
+
+def write_turtle_path(registry: Registry, catalogue: str, records: dict) -> None:
+    """Write records the way the suite wrote them before the wire: each
+    graph through `serialize_turtle` and `parse_turtle`."""
+    registry.put_catalogue(catalogue)
+    for source_id, triples in records.items():
+        registry.put_dataset(catalogue, source_id, parse_turtle(serialize_turtle(triples)))
+
+
+def assert_same_graphs(harvested: Registry, expected: Registry, catalogue: str) -> None:
+    ids = expected.dataset_ids(catalogue)
+    assert harvested.dataset_ids(catalogue) == ids
+    for ds_id in ids:
+        got, want = harvested.dataset_graph(ds_id), expected.dataset_graph(ds_id)
+        assert canonical_ntriples(got) == canonical_ntriples(want), ds_id
+        assert set(got) == set(want), ds_id  # the same #dist-N IRI for each distribution
+
+
+def dataset_id(registry: Registry, catalogue: str, original_id: str) -> str:
+    (ds_id,) = [i for i in registry.dataset_ids(catalogue) if registry.dataset_info(i)[1] == original_id]
+    return ds_id
+
+
+@pytest.fixture
+def suite(tmp_path):
+    records = synthetic_records(30) + [many_distributions()]
+    suite = make_suite(tmp_path, SERVICES, records=records)
+    suite.portal.dump_turtle = records_to_dump_turtle(synthetic_records(20, seed=11)) + EXTRA_DUMP
+    yield suite
+    suite.stop()
+
+
+def harvest(suite, catalogue: str, services: list[str], importer_config: dict) -> None:
+    resp = requests.put(
+        f"{suite.url('registry')}/catalogues/{catalogue}",
+        data="",
+        headers={"Authorization": f"Bearer {TOKEN}"},
+        timeout=30,
+    )
+    assert resp.status_code in (200, 201)
+    view = run_harvest(suite, pipe(str(uuid.uuid4()), services, {**importer_config, "catalogue": catalogue}))
+    assert view["state"] == "succeeded", view["statuses"]
+
+
+def test_harvested_graphs_equal_the_turtle_round_trip(suite):
+    base = suite.config.base_iri
+    portal = suite.url("portal")
+    # one registry for all three catalogues, so that ids clash as in the suite's
+    expected = Registry(QuadStore(), base)
+
+    harvest(suite, "json", ["importer", "transformer", "exporter"],
+            {"sourceUrl": f"{portal}/api/datasets", "sourceType": "paged-json", "pageSize": 7})
+    rules = MappingRuleSet.from_json(default_mapping_rules())
+    mapped = {
+        r["id"]: transform(SourceRecord(r["id"], "json", json.dumps(r, sort_keys=True), "application/json"), rules, base)
+        for r in suite.portal.records
+    }
+    write_turtle_path(expected, "json", mapped)
+    assert_same_graphs(suite.registry, expected, "json")
+    wide = suite.registry.dataset_graph(dataset_id(suite.registry, "json", "wide"))
+    assert len({o for s, p, o in wide if p.value == ns.DCAT_DISTRIBUTION}) == 12
+
+    dump_url = f"{portal}/dump.ttl"
+    dump = parse_turtle(suite.portal.dump_turtle, base_iri=dump_url)
+    described = {
+        next(o.lexical for s, p, o in dump if s == subject and p.value == ns.DCT_IDENTIFIER): description(dump, subject)
+        for subject in dict.fromkeys(s for s, p, o in dump if o == IRI(ns.DCAT_DATASET))
+    }
+    for catalogue, services in (("dump", ["importer", "transformer", "exporter"]), ("direct", ["importer", "exporter"])):
+        harvest(suite, catalogue, services, {"sourceUrl": dump_url, "sourceType": "rdf-dump"})
+        write_turtle_path(expected, catalogue, described)
+        assert_same_graphs(suite.registry, expected, catalogue)
+
+    urls = {
+        s.value.rsplit("#", 1)[1]: o.value
+        for s, p, o in suite.registry.dataset_graph(dataset_id(suite.registry, "direct", "w1"))
+        if p.value == ns.DCAT_ACCESS_URL
+    }
+    # _:aa sorts first, so it is numbered first, as serialize_turtle ordered it
+    assert urls == {"dist-0": "http://files.test/second.json", "dist-1": "http://files.test/first.csv"}
+
+
+# -- any graph the transformer can emit --------------------------------------
+
+_any_text = st.text(st.characters(blacklist_categories=()), max_size=10)
+_iri_text = st.builds(lambda tail: "http://x.test/" + tail, _any_text)
+_values = st.one_of(_any_text, st.integers(-5, 5), st.booleans(), st.floats(allow_nan=False))
+json_records = st.fixed_dictionaries(
+    {
+        "id": st.text(min_size=1, max_size=8),
+        "title": _values,
+        "words": st.lists(_any_text, max_size=3),
+        "link": _iri_text,
+        "when": _any_text,
+        "files": st.lists(st.fixed_dictionaries({"url": _iri_text, "kind": _any_text}), max_size=12),
+    }
+)
+
+
+@st.composite
+def rule_sets(draw):
+    """Rules of every term kind, with the language tag and datatype drawn too."""
+    lang = draw(st.sampled_from(["en", "de-AT", "zh-Hant-TW", "x_y", "1a", "en-"]))
+    datatype = draw(st.one_of(st.sampled_from([ns.XSD + "date", "urn:x:dt", "relative/dt"]), _iri_text))
+    return MappingRuleSet.from_json(
+        {
+            "distributionsPath": "files",
+            "rules": [
+                {"sourcePath": "title", "targetPredicate": ns.DCT_TITLE, "termKind": "langLiteral", "lang": lang},
+                {"sourcePath": "words[*]", "targetPredicate": ns.DCAT_KEYWORD, "termKind": "literal"},
+                {"sourcePath": "link", "targetPredicate": ns.DCAT_DOWNLOAD_URL, "termKind": "iri"},
+                {"sourcePath": "when", "targetPredicate": ns.DCT_ISSUED, "termKind": "typedLiteral", "datatype": datatype},
+                {"scope": "distribution", "sourcePath": "url", "targetPredicate": ns.DCAT_ACCESS_URL, "termKind": "iri"},
+                {"scope": "distribution", "sourcePath": "kind", "targetPredicate": ns.DCT_FORMAT, "termKind": "literal"},
+            ],
+        }
+    )
+
+
+def outcome(write, read, triples):
+    try:
+        return "parsed", read(write(triples))
+    except Exception as exc:  # both paths must fail alike
+        return "failed", type(exc)
+
+
+def assert_wire_matches_turtle(triples) -> None:
+    wire = outcome(serialize_wire, parse_ntriples, triples)
+    turtle = outcome(serialize_turtle, parse_turtle, triples)
+    assert wire == turtle
+    if wire[0] == "parsed":
+        assert canonical_ntriples(wire[1]) == canonical_ntriples(list(dict.fromkeys(triples)))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(json_records, rule_sets())
+def test_mapped_records_read_back_as_their_turtle_round_trip(record, rules):
+    source = SourceRecord(record["id"], "c", json.dumps(record), "application/json")
+    try:
+        triples = transform(source, rules, "http://odcat.example")
+    except ValueError:  # an IRI the term model refuses: the transformer emits nothing
+        return
+    assert_wire_matches_turtle(triples)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs)
+def test_graphs_read_back_as_their_turtle_round_trip(graph):
+    assert_wire_matches_turtle(graph)
+
+
+def test_wire_keeps_the_turtle_order():
+    triples = [
+        (IRI("http://x/d"), IRI(ns.DCAT_DISTRIBUTION), BlankNode("zz")),
+        (IRI("http://x/d"), IRI(ns.DCAT_DISTRIBUTION), BlankNode("aa")),
+        (BlankNode("zz"), IRI(ns.RDF_TYPE), IRI(ns.DCAT_DISTRIBUTION_CLASS)),
+        (IRI("http://x/d"), IRI(ns.DCT_TITLE), Literal("t")),
+        (IRI("http://x/d"), IRI(ns.RDF_TYPE), IRI(ns.DCAT_DATASET)),
+        (IRI("http://x/d"), IRI(ns.DCT_TITLE), Literal("t")),
+    ]
+    assert parse_ntriples(serialize_wire(triples)) == parse_turtle(serialize_turtle(triples))
+    assert serialize_wire(triples).splitlines()[:3] == [
+        f"<http://x/d> <{ns.RDF_TYPE}> <{ns.DCAT_DATASET}> .",
+        f"<http://x/d> <{ns.DCT_TITLE}> \"t\" .",
+        f"<http://x/d> <{ns.DCAT_DISTRIBUTION}> _:aa .",
+    ]
+    assert serialize_wire([]) == ""
+
+
+# -- scaling ----------------------------------------------------------------
+
+
+def _ms_per_dataset(work, datasets: int, repeats: int) -> float:
+    """Min of 5 runs of `repeats` calls of `work`, per dataset handled."""
+    best = float("inf")
+    for _ in range(5):
+        t0 = time.perf_counter()
+        for _ in range(repeats):
+            work()
+        best = min(best, time.perf_counter() - t0)
+    return best / (datasets * repeats) * 1000
+
+
+def _dump(n: int) -> str:
+    return records_to_dump_turtle(synthetic_records(n, seed=5))
+
+
+def _split(graph):
+    by_subject = subject_map(graph)
+    datasets = [s for s, p, o in graph if p.value == ns.RDF_TYPE and o == IRI(ns.DCAT_DATASET)]
+    return [bounded_description(by_subject, s) for s in datasets]
+
+
+def test_dump_split_is_linear():
+    # each run handles 2,000 datasets: one dump of 2,000 or eight of 250
+    small, large = (parse_turtle(_dump(n), base_iri="http://portal.test/") for n in (250, 2000))
+    ratio = _ms_per_dataset(lambda: _split(large), 2000, 1) / _ms_per_dataset(lambda: _split(small), 250, 8)
+    assert ratio < 1.5
+
+
+def test_turtle_parse_is_linear():
+    small, large = _dump(250), _dump(2000)
+    ratio = _ms_per_dataset(lambda: parse_turtle(large), 2000, 1) / _ms_per_dataset(lambda: parse_turtle(small), 250, 8)
+    assert ratio < 1.5
