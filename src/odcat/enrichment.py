@@ -1,0 +1,23 @@
+"""What the suite's own enrichment adds to a stored dataset graph.
+
+Translation adds machine-translated literals (extended "-t-" language tags)
+and the `odn:translationStarted` / `odn:translationCompleted` status triples.
+The registry strips exactly these before it compares a harvested graph with
+the stored one; translation never reads them as originals.
+"""
+
+from __future__ import annotations
+
+from . import ns
+from .rdf import Literal, Triple
+
+_STATUS_PREDICATES = frozenset((ns.ODN_TRANSLATION_STARTED, ns.ODN_TRANSLATION_COMPLETED))
+
+
+def is_machine_tag(lang: str | None) -> bool:
+    return bool(lang) and "-t-" in lang
+
+
+def is_enrichment(triple: Triple) -> bool:
+    _, p, o = triple
+    return p.value in _STATUS_PREDICATES or (isinstance(o, Literal) and is_machine_tag(o.lang))

@@ -66,6 +66,8 @@ class QualityService:
             self.reports.pop(event.dataset_id, None)
             self.minhash.remove(event.dataset_id)
             return
+        if event.kind == "unchanged" and event.dataset_id in self.reports:
+            return  # assessed since the start, and the graph has not changed
         self.queue.submit(event.dataset_id)
 
     def drain(self, timeout: float = 30.0) -> bool:

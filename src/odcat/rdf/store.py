@@ -203,13 +203,20 @@ class QuadStore:
                 self._flush()
             return n
 
-    def replace_graph(self, graph: str, triples: Iterable[Triple]) -> None:
-        """Atomically swap the contents of a named graph."""
+    def replace_graph(self, graph: str, triples: Iterable[Triple], also_add: Iterable[Quad] = ()) -> None:
+        """Atomically swap the contents of a named graph.
+
+        Quads in `also_add` (of any graph) are added in the same mutation, so
+        a crash keeps all of it or none of it.
+        """
         with self._lock:
             self._clear_graph(graph)
             lines = [f"C <{graph}>"]
             for t in triples:
                 q = Quad(t[0], t[1], t[2], graph)
+                if self._index_add(q):
+                    lines.append("A " + _format_quad(q))
+            for q in also_add:
                 if self._index_add(q):
                     lines.append("A " + _format_quad(q))
             self._log(lines)

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import logging
 import threading
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .. import ns
-from ..rdf import IRI, Literal, QuadStore, Term, Triple
+from ..enrichment import is_enrichment
+from ..rdf import IRI, Literal, Quad, QuadStore, Term, Triple
 from .ids import normalize_id
 
 logger = logging.getLogger(__name__)
@@ -32,13 +34,17 @@ class MultipleDatasetNodesError(ValueError):
 
 @dataclass(frozen=True)
 class Event:
-    kind: str  # created | updated | deleted
+    kind: str  # created | updated | unchanged | deleted
     dataset_id: str
     catalogue_id: str
 
 
 class EventBus:
-    """Synchronous in-process mutation feed; asynchronous consumers hand each event to a WorkQueue."""
+    """Synchronous in-process feed of dataset events: created | updated | unchanged | deleted.
+
+    `unchanged` is a `put_dataset` that matched the stored graph and wrote
+    nothing. Asynchronous consumers hand each event to a WorkQueue.
+    """
 
     def __init__(self) -> None:
         self._subscribers: list[Callable[[Event], None]] = []
@@ -91,8 +97,10 @@ def _rewrite(triples: Iterable[Triple], mapping: dict[Term, Term]) -> list[Tripl
 class Registry:
     """Graph-per-dataset storage with harmonized IRIs and identifiers.
 
-    Writes are serialized per dataset; catalogue-link updates per catalogue.
-    Every successful mutation is published on the event bus.
+    Writes are serialized by one lock. Every successful `put_dataset` and
+    `delete_dataset` is published on the event bus and counted in `results`.
+    A `put_dataset` whose graph is already stored writes nothing and is
+    published as `unchanged` (see `_unchanged`).
     """
 
     def __init__(self, store: QuadStore, base_iri: str, events: EventBus | None = None):
@@ -101,6 +109,9 @@ class Registry:
         self.events = events or EventBus()
         self._datasets: dict[str, tuple[str, str]] = {}  # id -> (catalogueId, originalId)
         self._catalogues: dict[str, set[str]] = {}  # catalogueId -> dataset ids
+        # ids whose last put_dataset in this process carried no enrichment triples
+        self._plain_puts: set[str] = set()
+        self.results: Counter[str] = Counter()  # created | updated | unchanged | deleted
         self._write_lock = threading.RLock()
         self._rebuild()
 
@@ -215,16 +226,40 @@ class Registry:
             ]
             triples.append((ds_iri, IRI(ns.DCT_IDENTIFIER), Literal(original_id)))
 
-            created = not self.store.has_graph(ds_iri.value)
-            self.store.replace_graph(ds_iri.value, triples)
-            cat_graph = self.scheme.catalogue(catalogue_id)
-            self.store.add(cat_graph, (IRI(cat_graph), IRI(ns.DCAT_DATASET_LINK), ds_iri))
-            self._datasets[ds_id] = (catalogue_id, original_id)
-            self._catalogues[catalogue_id].add(ds_id)
+            if self._unchanged(ds_id, catalogue_id, triples):
+                kind = "unchanged"
+            else:
+                kind = "updated" if self.store.has_graph(ds_iri.value) else "created"
+                cat_graph = self.scheme.catalogue(catalogue_id)
+                link = Quad(IRI(cat_graph), IRI(ns.DCAT_DATASET_LINK), ds_iri, cat_graph)
+                self.store.replace_graph(ds_iri.value, triples, also_add=(link,))
+                self._datasets[ds_id] = (catalogue_id, original_id)
+                self._catalogues[catalogue_id].add(ds_id)
+            if any(is_enrichment(t) for t in triples):
+                self._plain_puts.discard(ds_id)
+            else:
+                self._plain_puts.add(ds_id)
+            self.results[kind] += 1
 
-        result = "created" if created else "updated"
-        self.events.emit(Event(result, ds_id, catalogue_id))
-        return result, ds_id
+        self.events.emit(Event(kind, ds_id, catalogue_id))
+        return ("created" if kind == "created" else "updated"), ds_id
+
+    def _unchanged(self, ds_id: str, catalogue_id: str, triples: list[Triple]) -> bool:
+        """Whether the stored graph is `triples` plus only enrichment the suite added.
+
+        Enrichment triples in the stored graph are known to be the suite's own
+        only if the dataset's last put in this process carried none; after a
+        restart that is unknown, so such a graph is rewritten.
+        """
+        known = self._datasets.get(ds_id)
+        if known is None or known[0] != catalogue_id:
+            return False
+        stored = self.store.graph(self.scheme.dataset(ds_id))
+        harvested = {t for t in stored if not is_enrichment(t)}
+        if len(harvested) < len(stored) and ds_id not in self._plain_puts:
+            return False
+        # membership first: a changed graph stops at its first new triple
+        return all(t in harvested for t in triples) and len(set(triples)) == len(harvested)
 
     def has_dataset(self, dataset_id: str) -> bool:
         return dataset_id in self._datasets
@@ -258,6 +293,7 @@ class Registry:
             if dataset_id not in self._datasets:
                 raise NotFoundError(dataset_id)
             catalogue_id, _ = self._datasets.pop(dataset_id)
+            self._plain_puts.discard(dataset_id)
             ds_iri = IRI(self.scheme.dataset(dataset_id))
             self.store.delete_graph(ds_iri.value)
             self.store.delete_graph(self.scheme.metrics(dataset_id))
@@ -265,6 +301,7 @@ class Registry:
                 cat_graph = self.scheme.catalogue(catalogue_id)
                 self.store.remove(cat_graph, (IRI(cat_graph), IRI(ns.DCAT_DATASET_LINK), ds_iri))
                 self._catalogues.get(catalogue_id, set()).discard(dataset_id)
+            self.results["deleted"] += 1
         self.events.emit(Event("deleted", dataset_id, catalogue_id))
 
     def list_datasets(self, catalogue_id: str, page: int = 0, page_size: int = 100) -> tuple[int, list[dict]]:

@@ -38,7 +38,7 @@ class SearchService:
     def on_event(self, event: Event) -> None:
         if event.kind == "deleted":
             self.index.remove(event.dataset_id)
-        else:
+        elif event.kind != "unchanged":  # the index already holds the stored graph
             self._index_dataset(event.dataset_id)
 
 

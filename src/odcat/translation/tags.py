@@ -33,10 +33,6 @@ class ExtendedLangTag:
         return f"{self.target}-t-{self.source}-t0-{self.provider}"
 
 
-def is_machine_tag(lang: str | None) -> bool:
-    return bool(lang) and "-t-" in lang
-
-
 def parse_extended_tag(lang: str) -> ExtendedLangTag | None:
     if not EXTENDED_TAG_RE.match(lang):
         return None

@@ -6,12 +6,13 @@ import logging
 from datetime import datetime, timezone
 
 from .. import ns
+from ..enrichment import is_enrichment
 from ..httpkit import Request, Response, Router
 from ..rdf import IRI, Literal, Term, Triple
 from ..registry.core import Event, Registry
 from ..workqueue import WorkQueue
 from .providers import ProviderError
-from .tags import ExtendedLangTag, is_machine_tag
+from .tags import ExtendedLangTag
 
 logger = logging.getLogger(__name__)
 
@@ -27,13 +28,13 @@ def detect_original(graph: list[Triple], catalogue_default_lang: str = "en") -> 
     """(subject, predicate, literal, source language) for every original literal.
 
     A literal's own tag wins; untagged literals assume the catalogue default;
-    machine-translated literals (extended "-t-" tags) are never originals.
+    enrichment (machine-translated literals with extended "-t-" tags, the
+    translation status) is never original.
     """
     out = []
-    for s, p, o in graph:
-        if not isinstance(o, Literal):
-            continue
-        if is_machine_tag(o.lang):
+    for t in graph:
+        s, p, o = t
+        if not isinstance(o, Literal) or is_enrichment(t):
             continue
         if o.lang is not None:
             source = o.lang.split("-", 1)[0]
@@ -66,12 +67,9 @@ def translate_dataset(
         return {"added": 0, "targets": []}
     dataset = dataset_nodes[0]
 
-    originals = {
-        (s, p): []
-        for s, p, lit, lang in detect_original(graph, default_lang)
-    }
+    originals: dict[tuple[Term, str], list[tuple[Literal, str]]] = {}
     for s, p, lit, lang in detect_original(graph, default_lang):
-        originals[(s, p)].append((lit, lang))
+        originals.setdefault((s, p), []).append((lit, lang))
 
     present_langs: dict[str, set[str]] = {p: set() for p in properties}
     for s, p, o in graph:
@@ -159,6 +157,8 @@ class TranslationService:
         registry.events.subscribe(self.on_event)
 
     def on_event(self, event: Event) -> None:
+        # `unchanged` too: a no-op without a write when nothing is missing,
+        # and the retry of a translation that failed before
         if event.kind != "deleted" and self.targets:
             self.queue.submit(event.dataset_id)
 

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import re
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from odcat.rdf import (
 )
 from odcat.registry import (
     EmptyIdError,
+    Event,
     MultipleDatasetNodesError,
     NoDatasetNodeError,
     NotFoundError,
@@ -28,6 +31,8 @@ from odcat.registry import (
     negotiate,
     normalize_id,
 )
+from odcat.search import SearchService
+from odcat.translation import EchoProvider, translate_dataset
 
 import requests
 
@@ -273,6 +278,177 @@ def test_rebuild_restores_every_dataset_and_catalogue(tmp_path, compacted):
     store2.close()
     assert after == before
     assert len(before[0]) == 19 and before[1]["empty-a"] == [] and len(before[2]) == 6
+
+
+# -- change-aware writes ----------------------------------------------------------
+
+
+def wal_size(store_dir):
+    return (store_dir / "wal.nq").stat().st_size
+
+
+def recorded_events(reg):
+    events = []
+    reg.events.subscribe(events.append)
+    return events
+
+
+def machine_and_status(graph):
+    return sorted(
+        (p.value, o.lexical, o.lang)
+        for s, p, o in graph
+        if p.value in (ns.ODN_TRANSLATION_STARTED, ns.ODN_TRANSLATION_COMPLETED)
+        or (isinstance(o, Literal) and "-t-" in (o.lang or ""))
+    )
+
+
+def test_identical_reput_writes_nothing_and_leaves_the_index_alone(tmp_path):
+    reg = Registry(QuadStore(tmp_path), BASE)
+    reg.put_catalogue("cat1")
+    search = SearchService(reg)
+    indexed = []
+    index = search.index.index
+    search.index.index = lambda doc: (indexed.append(doc.id), index(doc))
+    events = recorded_events(reg)
+    assert reg.put_dataset("cat1", "d1", parse_turtle(dataset_turtle())) == ("created", "d1")
+    size, graph, hits = wal_size(tmp_path), set(reg.dataset_graph("d1")), search.index.search("rain", {}, 0, 10)
+    del indexed[:], events[:]
+
+    assert reg.put_dataset("cat1", "d1", parse_turtle(dataset_turtle())) == ("updated", "d1")
+    assert wal_size(tmp_path) == size
+    assert events == [Event("unchanged", "d1", "cat1")]
+    assert indexed == []
+    assert set(reg.dataset_graph("d1")) == graph
+    assert search.index.search("rain", {}, 0, 10) == hits
+
+    reg.put_dataset("cat1", "d1", parse_turtle(dataset_turtle("Snow")))
+    reg.delete_dataset("d1")
+    assert reg.results == {"created": 1, "unchanged": 1, "updated": 1, "deleted": 1}
+
+
+def test_reput_after_translation_keeps_machine_literals_and_status(tmp_path):
+    reg = Registry(QuadStore(tmp_path), BASE)
+    reg.put_catalogue("cat1")
+    reg.put_dataset("cat1", "d1", parse_turtle(dataset_turtle()))
+    assert translate_dataset(reg, "d1", ["de", "fr"], EchoProvider())["added"] == 2
+    enriched = reg.dataset_graph("d1")
+    kept = machine_and_status(enriched)
+    assert [lang for _, _, lang in kept] == [None, None, "de-t-en-t0-echo", "fr-t-en-t0-echo"]
+    events, size = recorded_events(reg), wal_size(tmp_path)
+
+    for _ in range(2):
+        assert reg.put_dataset("cat1", "d1", parse_turtle(dataset_turtle())) == ("updated", "d1")
+    assert wal_size(tmp_path) == size
+    assert [e.kind for e in events] == ["unchanged", "unchanged"]
+    assert set(reg.dataset_graph("d1")) == set(enriched)
+    assert machine_and_status(reg.dataset_graph("d1")) == kept
+
+
+def test_a_source_that_drops_its_own_machine_literal_is_written(registry):
+    supplied = '<http://source.example/d1> <http://purl.org/dc/terms/title> "Pluie"@fr-t-en-t0-src .'
+    registry.put_dataset("cat1", "d1", parse_turtle(dataset_turtle(extra=supplied)))
+    events = recorded_events(registry)
+    # the stored graph minus its enrichment equals this put, but the enrichment came with the last put
+    assert registry.put_dataset("cat1", "d1", parse_turtle(dataset_turtle())) == ("updated", "d1")
+    assert events == [Event("updated", "d1", "cat1")]
+    assert machine_and_status(registry.dataset_graph("d1")) == []
+
+
+def test_after_a_reopen_an_identical_put_of_an_enriched_dataset_writes_once(tmp_path):
+    store = QuadStore(tmp_path)
+    reg = Registry(store, BASE)
+    reg.put_catalogue("cat1")
+    reg.put_dataset("cat1", "d1", parse_turtle(dataset_turtle()))
+    reg.put_dataset("cat1", "plain", parse_turtle(dataset_turtle("Plain")))
+    translate_dataset(reg, "d1", ["fr"], EchoProvider())
+    store.close()
+
+    reg = Registry(QuadStore(tmp_path), BASE)
+    events, size = recorded_events(reg), wal_size(tmp_path)
+    # unknown after a restart whether the enrichment came with the source: write
+    reg.put_dataset("cat1", "d1", parse_turtle(dataset_turtle()))
+    assert wal_size(tmp_path) > size
+    assert machine_and_status(reg.dataset_graph("d1")) == []
+    size = wal_size(tmp_path)
+    reg.put_dataset("cat1", "d1", parse_turtle(dataset_turtle()))
+    # an unenriched stored graph is compared exactly, restart or not
+    reg.put_dataset("cat1", "plain", parse_turtle(dataset_turtle("Plain")))
+    assert wal_size(tmp_path) == size
+    assert [e.kind for e in events] == ["updated", "unchanged", "unchanged"]
+
+
+def test_moving_a_dataset_to_another_catalogue_is_a_write(tmp_path):
+    reg = Registry(QuadStore(tmp_path), BASE)
+    reg.put_catalogue("cat1")
+    reg.put_catalogue("cat2")
+    reg.put_dataset("cat1", "d1", parse_turtle(dataset_turtle()))
+    events, size = recorded_events(reg), wal_size(tmp_path)
+    result, moved = reg.put_dataset("cat2", "d1", parse_turtle(dataset_turtle()))
+    assert result == "created" and moved != "d1"
+    assert events == [Event("created", moved, "cat2")]
+    assert wal_size(tmp_path) > size
+    assert reg.dataset_ids("cat2") == [moved] and reg.dataset_info(moved) == ("cat2", "d1")
+
+
+def test_a_torn_put_dataset_keeps_the_dataset_and_its_link_together(tmp_path):
+    live = tmp_path / "live"
+    reg = Registry(QuadStore(live), BASE)
+    reg.put_catalogue("c")
+    reg.put_dataset("c", "d0", parse_turtle(dataset_turtle()))
+    last = wal_size(live)
+    reg.put_dataset("c", "d1", parse_turtle(dataset_turtle("Snow")))
+    data = (live / "wal.nq").read_bytes()
+    mutation = data[last:].decode("utf-8").split("\n")[:-1]
+    assert mutation[0] == f"B {len(mutation) - 1}"  # graph and link in one mutation
+    assert "/catalogues/c>" in mutation[-1]
+
+    present = set()
+    for cut in range(last, len(data) + 1):
+        directory = tmp_path / f"cut-{cut}"
+        directory.mkdir()
+        (directory / "wal.nq").write_bytes(data[:cut])
+        reopened = Registry(QuadStore(directory), BASE)
+        listed = reopened.dataset_ids("c")
+        assert all(reopened.dataset_info(ds_id)[0] == "c" for ds_id in reopened.dataset_ids()), cut
+        assert reopened.has_dataset("d1") == ("d1" in listed), cut
+        present.add(reopened.has_dataset("d1"))
+        assert "d0" in listed, cut
+    assert present == {False, True}
+
+
+def test_concurrent_puts_and_translations_keep_counts_and_enrichment_current(registry):
+    ids, versions, rounds = ["d0", "d1", "d2"], ["Rain", "Snow"], 60
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        def harvester(k):
+            for i in range(rounds):
+                registry.put_dataset("cat1", ids[i % 3], parse_turtle(dataset_turtle(versions[(i + k) % 2])))
+
+        def translator():
+            for i in range(rounds):
+                if registry.has_dataset(ids[i % 3]):
+                    translate_dataset(registry, ids[i % 3], ["fr"], EchoProvider())
+
+        threads = [threading.Thread(target=harvester, args=(k,)) for k in range(6)]
+        threads += [threading.Thread(target=translator) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sum(registry.results.values()) == 6 * rounds
+    for ds_id in ids:
+        graph = registry.dataset_graph(ds_id)
+        [title] = [o.lexical for s, p, o in graph if p.value == ns.DCT_TITLE and o.lang == "en"]
+        machine = [o.lexical for s, p, o in graph if isinstance(o, Literal) and o.lang == "fr-t-en-t0-echo"]
+        assert machine in ([], [f"[en→fr] {title}"]), ds_id
+        # whatever is stored, the same harvest again is recognised as unchanged
+        unchanged = registry.results["unchanged"]
+        registry.put_dataset("cat1", ds_id, parse_turtle(dataset_turtle(title)))
+        assert registry.results["unchanged"] == unchanged + 1
 
 
 # -- content negotiation -------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import os
 import signal
 import subprocess
 import sys
@@ -8,11 +9,13 @@ import uuid
 
 import requests
 
+import odcat
 from conftest import free_port
 from harness import TOKEN, make_suite, run_harvest, wait_until
 
 from odcat import ns
-from odcat.cli import fixture_pipe_definition
+from odcat.cli import fixture_pipe_definition, harvest_summary
+from odcat.config import Config
 from odcat.harvester import synthetic_records
 from odcat.quality import service as quality_service
 from odcat.rdf import QuadStore, parse_turtle
@@ -198,6 +201,58 @@ def test_stop_lands_queued_enrichment_before_the_store_closes(tmp_path, monkeypa
         store.close()
 
 
+def test_a_second_harvest_of_unchanged_records_writes_nothing_back(tmp_path, monkeypatch):
+    suite = make_suite(tmp_path, ALL, records=synthetic_records(200), translation_targets=["fr"])
+    try:
+        suite.registry.put_catalogue("mock")
+        harvest = fixture_pipe_definition(suite.url("portal").removeprefix("http://"))
+        assert harvest_summary(run_harvest(suite, harvest))["created"] == 200
+        assert suite.wait_quiescent()
+        writebacks, assessed = [], []
+        update = suite.registry.update_dataset_triples
+        monkeypatch.setattr(
+            suite.registry, "update_dataset_triples",
+            lambda ds_id, *args: (writebacks.append(ds_id), update(ds_id, *args))[1],
+        )
+        validate = quality_service.validate
+        monkeypatch.setattr(
+            quality_service, "validate", lambda graph, shapes: (assessed.append(graph), validate(graph, shapes))[1]
+        )
+
+        summary = harvest_summary(run_harvest(suite, harvest))
+        assert suite.wait_quiescent()
+        assert (summary["created"], summary["updated"], summary["deleted"]) == (0, 200, 0)
+        assert suite.registry.results["unchanged"] == 200
+        assert writebacks == [] and assessed == []
+        assert "fr-t-en-t0-echo" in {lang for _, lang in titles(suite.registry.dataset_graph("set-00000"))}
+    finally:
+        suite.stop()
+
+
+def test_an_unchanged_put_after_a_restart_still_gets_enriched(tmp_path):
+    store = QuadStore(tmp_path / "data" / "store")
+    registry = Registry(store, Config().base_iri)
+    registry.put_catalogue("c")
+    registry.put_dataset("c", "d", parse_turtle(TITLED.format("a title")))
+    store.close()
+
+    suite = make_suite(tmp_path, ["registry", "quality", "translation"], translation_targets=["fr"])
+    try:
+        resp = requests.put(
+            f"{suite.url('registry')}/datasets/d?catalogue=c",
+            data=TITLED.format("a title"),
+            headers={"Authorization": f"Bearer {TOKEN}", "Content-Type": "text/turtle"},
+            timeout=30,
+        )
+        assert (resp.status_code, resp.json()) == (200, {"id": "d", "result": "updated"})
+        assert suite.wait_quiescent()
+        assert suite.registry.results == {"unchanged": 1}
+        assert ("[en→fr] a title", "fr-t-en-t0-echo") in titles(suite.registry.dataset_graph("d"))
+        assert "d" in suite.quality.reports and suite.registry.metrics_graph("d")
+    finally:
+        suite.stop()
+
+
 def test_serve_cli_subprocess(tmp_path):
     """The installed entry point serves, answers health checks, stops cleanly."""
     port = free_port()
@@ -208,8 +263,12 @@ def test_serve_cli_subprocess(tmp_path):
     }
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config))
+    # the child imports the same odcat as this process, installed or not
+    source = os.path.dirname(os.path.dirname(odcat.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.Popen(
         [sys.executable, "-m", "odcat.cli", "--config", str(config_path), "serve", "--services", "registry"],
+        env=env,
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
