@@ -10,12 +10,11 @@ import threading
 import time
 import uuid
 from pathlib import Path
-
-import requests
+from urllib.parse import quote, urlencode
 
 from .config import BadConfigError, load_config
 from .harvester.fixtures import default_mapping_rules, records_to_dump_turtle, synthetic_records
-from .httpkit import AddressInUseError
+from .httpkit import AddressInUseError, HttpClient
 from .suite import Suite
 
 FIXTURE_PIPE_ID = str(uuid.uuid5(uuid.NAMESPACE_URL, "odcat:fixture-harvest-pipe"))
@@ -93,24 +92,23 @@ def cmd_harvest_run(args) -> int:
         print("error: pipe definition needs a pipeId", file=sys.stderr)
         return 2
 
-    resp = requests.put(
-        f"{scheduler_url}/pipes/{pipe_id}", json=pipe_doc, headers=_auth(config), timeout=30
-    )
-    if resp.status_code not in (200, 201):
-        print(f"error: registering pipe failed: {resp.status_code} {resp.text}", file=sys.stderr)
+    client = HttpClient(timeout=30)
+    body = json.dumps(pipe_doc).encode("utf-8")
+    headers = {**_auth(config), "Content-Type": "application/json"}
+    resp = client.request("PUT", f"{scheduler_url}/pipes/{pipe_id}", body, headers)
+    if resp.status not in (200, 201):
+        print(f"error: registering pipe failed: {resp.status} {resp.text}", file=sys.stderr)
         return 1
-    resp = requests.post(
-        f"{scheduler_url}/pipes/{pipe_id}/launch", headers=_auth(config), timeout=30
-    )
-    if resp.status_code != 202:
-        print(f"error: launch failed: {resp.status_code} {resp.text}", file=sys.stderr)
+    resp = client.request("POST", f"{scheduler_url}/pipes/{pipe_id}/launch", b"", _auth(config))
+    if resp.status != 202:
+        print(f"error: launch failed: {resp.status} {resp.text}", file=sys.stderr)
         return 1
     run_id = resp.json()["runId"]
 
     deadline = time.monotonic() + args.timeout
     view = None
     while time.monotonic() < deadline:
-        view = requests.get(f"{scheduler_url}/runs/{run_id}", timeout=30).json()
+        view = client.request("GET", f"{scheduler_url}/runs/{run_id}").json()
         if view["state"] != "running":
             break
         time.sleep(0.25)
@@ -135,17 +133,15 @@ def cmd_harvest_run(args) -> int:
 def cmd_report(args) -> int:
     config = _config_from_args(args)
     quality_url = f"http://{config.addresses['quality']}"
-    resp = requests.get(
-        f"{quality_url}/catalogues/{args.catalogue}/quality/report",
-        params={"format": args.format},
-        timeout=60,
-    )
-    if resp.status_code != 200:
-        print(f"error: {resp.status_code} {resp.text}", file=sys.stderr)
+    query = urlencode({"format": args.format})
+    url = f"{quality_url}/catalogues/{quote(args.catalogue, safe='')}/quality/report?{query}"
+    resp = HttpClient(timeout=60).request("GET", url)
+    if resp.status != 200:
+        print(f"error: {resp.status} {resp.text}", file=sys.stderr)
         return 1
     if args.out:
-        Path(args.out).write_bytes(resp.content)
-        print(f"wrote {len(resp.content)} bytes to {args.out}")
+        Path(args.out).write_bytes(resp.body)
+        print(f"wrote {len(resp.body)} bytes to {args.out}")
     else:
         sys.stdout.write(resp.text)
     return 0

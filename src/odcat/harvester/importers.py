@@ -39,9 +39,9 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat().replace("+00:00", "Z")
 
 
-def _fetch(url: str, timeout: float, session: requests.Session | None = None) -> requests.Response:
+def _fetch(url: str, timeout: float) -> requests.Response:
     try:
-        resp = (session or requests).get(url, timeout=timeout)
+        resp = requests.get(url, timeout=timeout)
     except requests.RequestException as exc:
         raise FetchError(f"cannot fetch {url}: {exc}") from exc
     if not (200 <= resp.status_code < 300):
@@ -81,14 +81,13 @@ def import_rdf_dump(
     url: str,
     catalogue_id: str,
     timeout: float = 30.0,
-    session: requests.Session | None = None,
 ) -> tuple[list[SourceRecord], list[str], int]:
     """Split an RDF dump into per-dataset records.
 
     Returns (records, identifier list, warning count). A parse failure
     propagates so the run fails without emitting a partial identifier list.
     """
-    resp = _fetch(url, timeout, session)
+    resp = _fetch(url, timeout)
     content_type = resp.headers.get("Content-Type", "").split(";")[0].strip().lower()
     text = resp.text
     if content_type == "application/n-triples" or url.endswith(".nt"):
@@ -137,14 +136,14 @@ def import_rdf_dump(
     return records, ids, warnings
 
 
-def _fetch_all_pages(url: str, page_size: int, timeout: float, session) -> tuple[list[dict], int]:
+def _fetch_all_pages(url: str, page_size: int, timeout: float) -> tuple[list[dict], int]:
     sep = "&" if "?" in url else "?"
     offset = 0
     expected: int | None = None
     results: list[dict] = []
     while True:
         page_url = f"{url}{sep}offset={offset}&limit={page_size}"
-        payload = _fetch(page_url, timeout, session).json()
+        payload = _fetch(page_url, timeout).json()
         try:
             count = int(payload["count"])
             page = list(payload["results"])
@@ -166,7 +165,6 @@ def import_paged_json(
     catalogue_id: str,
     page_size: int = 100,
     timeout: float = 30.0,
-    session: requests.Session | None = None,
 ) -> tuple[list[SourceRecord], list[str], int]:
     """Iterate offset pages of a {"count", "results"} endpoint.
 
@@ -174,10 +172,10 @@ def import_paged_json(
     Results without an "id" member are skipped and counted as warnings.
     """
     try:
-        results, _ = _fetch_all_pages(url, page_size, timeout, session)
+        results, _ = _fetch_all_pages(url, page_size, timeout)
     except InconsistentCountError:
         logger.warning("count changed while paging %s; re-fetching once", url)
-        results, _ = _fetch_all_pages(url, page_size, timeout, session)
+        results, _ = _fetch_all_pages(url, page_size, timeout)
 
     records: list[SourceRecord] = []
     ids: list[str] = []

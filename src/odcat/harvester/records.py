@@ -3,15 +3,10 @@
 from __future__ import annotations
 
 import json
-import uuid
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from ..pipeline.descriptor import Payload
-from ..pipeline.service import resolve_payload_bytes
 
-# identifier lists up to this size travel inline; larger ones via file pointer
-INLINE_ID_LIMIT = 10000
 # the content type of RDF records between importer, transformer and exporter
 WIRE_TYPE = "application/n-triples"
 
@@ -66,29 +61,20 @@ def record_error_payload(source_id: str, message: str) -> Payload:
     return Payload.json_data({"kind": "record-error", "sourceId": source_id, "message": message})
 
 
-def marker_payload(
-    id_list: IdentifierList, record_total: int, spill_dir: str | Path | None = None
-) -> Payload:
-    """Final per-run marker; large identifier lists spill to a file pointer."""
-    envelope = {
-        "kind": "identifiers",
-        "identifierList": id_list.to_json(),
-        "recordTotal": record_total,
-    }
-    if len(id_list.sourceIds) > INLINE_ID_LIMIT and spill_dir is not None:
-        spill = Path(spill_dir) / "payloads"
-        spill.mkdir(parents=True, exist_ok=True)
-        path = spill / f"ids-{id_list.runId or uuid.uuid4()}.json"
-        path.write_text(json.dumps(envelope), encoding="utf-8")
-        return Payload("text", "application/json", data=None, dataRef=path.resolve().as_uri())
-    return Payload.json_data(envelope)
+def marker_payload(id_list: IdentifierList, record_total: int) -> Payload:
+    """Final per-run marker carrying the complete identifier list inline."""
+    return Payload.json_data(
+        {"kind": "identifiers", "identifierList": id_list.to_json(), "recordTotal": record_total}
+    )
 
 
 def parse_envelope(payload: Payload | None) -> dict:
-    """Decode a harvest payload envelope (resolving file/http pointers)."""
+    """Decode a harvest payload envelope; harvest payloads are always inline."""
     if payload is None:
         return {"kind": "none"}
-    raw = resolve_payload_bytes(payload)
+    if payload.dataRef is not None:
+        raise ValueError(f"harvest payloads travel inline, got a dataRef: {payload.dataRef}")
+    raw = payload.decoded() if payload.data is not None else b""
     if not raw:
         return {"kind": "none"}
     obj = json.loads(raw.decode("utf-8"))

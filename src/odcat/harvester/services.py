@@ -38,7 +38,6 @@ def make_importer(
     directory: dict[str, str],
     runlog_url: str | None = None,
     token: str | None = None,
-    data_dir: str | None = None,
     workers: int = 4,
     retry_delays: tuple[float, ...] = (1.0, 2.0, 4.0),
 ) -> PipeService:
@@ -67,7 +66,7 @@ def make_importer(
         for record in records:
             ctx.emit(record_payload(record))
         id_list = IdentifierList(catalogue, ctx.descriptor.runId or "", ids)
-        ctx.emit(marker_payload(id_list, record_total=len(records), spill_dir=data_dir))
+        ctx.emit(marker_payload(id_list, record_total=len(records)))
         return HandlerResult(
             forward=False,
             message=json.dumps({"records": len(records), "warnings": warnings}),

@@ -142,12 +142,17 @@ class HttpService:
                 logger.debug("%s %s", outer.router.name, fmt % args)
 
             def _serve(self):
-                parts = urlsplit(self.path)
-                query = {k: v[0] for k, v in parse_qs(parts.query).items()}
-                length = int(self.headers.get("Content-Length") or 0)
-                body = self.rfile.read(length) if length else b""
-                headers = {k.lower(): v for k, v in self.headers.items()}
-                resp = outer.router.dispatch(self.command, parts.path, query, headers, body)
+                length = (self.headers.get("Content-Length") or "0").strip()
+                if length.isascii() and length.isdigit():
+                    parts = urlsplit(self.path)
+                    query = {k: v[0] for k, v in parse_qs(parts.query).items()}
+                    body = self.rfile.read(int(length))
+                    headers = {k.lower(): v for k, v in self.headers.items()}
+                    resp = outer.router.dispatch(self.command, parts.path, query, headers, body)
+                else:
+                    resp = Response.error(400, "BadRequest", f"bad Content-Length {length!r}")
+                    # the body cannot be framed, so the connection cannot be reused
+                    resp.headers["Connection"] = "close"
                 self.send_response(resp.status)
                 self.send_header("Content-Type", resp.content_type)
                 self.send_header("Content-Length", str(len(resp.body)))
@@ -210,9 +215,11 @@ class HttpClient:
     lock, so per-call client CPU bounds harvest throughput: a 3 KB POST round
     trip to an HttpService costs ~2.3 ms of CPU through requests.Session
     (per-call proxy and netrc lookups, adapters, hooks) and ~0.5 ms through
-    this client (2-core machine, Python 3.11). Calls to the outside world
-    (source portals, URL checks) keep using requests for proxies, TLS and
-    redirects.
+    this client (2-core machine, Python 3.11). It carries every call between
+    the suite's services (pipe descriptors, scheduler launches, run-status
+    posts, registry calls) and the CLI's calls to them. Only calls to outside
+    URLs (source portals in the importers, distribution URL checks) use
+    requests, for its proxies, TLS and redirects.
     """
 
     def __init__(self, timeout: float = 30.0):

@@ -1,8 +1,10 @@
 """Service-side pipe runtime: receive, execute, report, forward.
 
 Submissions are acknowledged with 202 before the handler runs (503 while the
-queue stays full), so slow handlers never block the upstream service. Busy or
-unreachable successors are retried with backoff, then reported as failed.
+queue stays full), so slow handlers never block the upstream service. Every
+descriptor between the suite's services, the scheduler's launch included, goes
+through `deliver`: busy or unreachable services are retried with backoff, then
+reported as failed.
 """
 
 from __future__ import annotations
@@ -12,11 +14,7 @@ import logging
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from pathlib import Path
 from typing import Callable
-from urllib.parse import urlparse, unquote
-
-import requests
 
 from ..httpkit import ClientError, HttpClient, HttpService, Request, Response, Router
 from ..workqueue import WorkQueue
@@ -42,20 +40,37 @@ def utcnow_iso() -> str:
     return datetime.now(timezone.utc).isoformat().replace("+00:00", "Z")
 
 
-def resolve_payload_bytes(payload: Payload, timeout: float = 30.0) -> bytes:
-    """Inline data, or the bytes behind a file:// or http(s):// dataRef."""
-    if payload.data is not None:
-        return payload.decoded()
-    if payload.dataRef:
-        parsed = urlparse(payload.dataRef)
-        if parsed.scheme == "file":
-            return Path(unquote(parsed.path)).read_bytes()
-        if parsed.scheme in ("http", "https"):
-            resp = requests.get(payload.dataRef, timeout=timeout)
-            resp.raise_for_status()
-            return resp.content
-        raise ValueError(f"unsupported dataRef scheme: {payload.dataRef}")
-    return b""
+def deliver(
+    client: HttpClient,
+    directory: dict[str, str],
+    service_id: str,
+    descriptor: PipeDescriptor,
+    retry_delays: tuple[float, ...],
+) -> str | None:
+    """POST a descriptor to a service's /pipe: None once accepted, else why not.
+
+    A status below 400 is accepted and a 4xx is final; a 5xx or an unreachable
+    service is tried again after each of `retry_delays`.
+    """
+    base = directory.get(service_id)
+    if base is None:
+        return f"no address for service {service_id!r}"
+    url = base.rstrip("/") + "/pipe"
+    body = descriptor.dumps().encode("utf-8")
+    for attempt in range(len(retry_delays) + 1):
+        try:
+            resp = client.request("POST", url, body)
+        except ClientError as exc:
+            error = f"service {service_id!r} unreachable: {exc}"
+        else:
+            if resp.status < 400:
+                return None
+            error = f"service {service_id!r} answered {resp.status}"
+            if resp.status < 500:
+                return error
+        if attempt < len(retry_delays):
+            time.sleep(retry_delays[attempt])
+    return error
 
 
 class StatusReporter:
@@ -122,12 +137,12 @@ class PipeContext:
 
         Used by streaming handlers that fan a single submission out into many
         per-record copies; the copy sent downstream marks this segment
-        processed while the original stays reusable.
+        processed while the original stays reusable. Raises if a successor
+        does not accept its copy, which fails the handler.
         """
         pristine = self.descriptor.copy()
         routed = forward(pristine, self.segment.segmentNumber, payload)
-        for target, doc in routed:
-            self.service.send(target, doc)
+        self.service.send_all(routed)
         return len(routed)
 
 
@@ -186,27 +201,14 @@ class PipeService:
         ctx = PipeContext(self, descriptor, segment)
         try:
             outcome = self.handler(ctx)
+            if outcome is None or isinstance(outcome, Payload):
+                outcome = HandlerResult(payload=outcome)
+            if outcome.forward:
+                self.send_all(forward(descriptor, segment.segmentNumber, outcome.payload))
         except Exception as exc:
-            logger.warning("%s: handler failed on run %s: %s", self.service_id, descriptor.runId, exc)
+            logger.warning("%s: segment failed on run %s: %s", self.service_id, descriptor.runId, exc)
             self._report(descriptor, segment.segmentNumber, "failed", str(exc))
             return
-        if outcome is None or isinstance(outcome, Payload):
-            outcome = HandlerResult(payload=outcome)
-        if outcome.forward:
-            try:
-                routed = forward(descriptor, segment.segmentNumber, outcome.payload)
-            except Exception as exc:
-                self._report(descriptor, segment.segmentNumber, "failed", str(exc))
-                return
-            for target, doc in routed:
-                if not self.send(target, doc):
-                    self._report(
-                        descriptor,
-                        segment.segmentNumber,
-                        "failed",
-                        f"successor {target!r} unreachable",
-                    )
-                    return
         if outcome.report_status:
             self._report(descriptor, segment.segmentNumber, "succeeded", outcome.message)
 
@@ -221,24 +223,16 @@ class PipeService:
             )
         )
 
-    def send(self, target_service_id: str, descriptor: PipeDescriptor) -> bool:
-        """POST a descriptor to the target service, retrying with backoff."""
-        base = self.directory.get(target_service_id)
-        if base is None:
-            logger.warning("%s: no address for service %r", self.service_id, target_service_id)
-            return False
-        url = base.rstrip("/") + "/pipe"
-        attempts = len(self.retry_delays) + 1
-        for attempt in range(attempts):
-            try:
-                resp = self.client.request("POST", url, descriptor.dumps().encode("utf-8"))
-                if resp.status < 500:
-                    return resp.status < 400
-            except ClientError:
-                pass
-            if attempt < len(self.retry_delays):
-                time.sleep(self.retry_delays[attempt])
-        return False
+    def send(self, target_service_id: str, descriptor: PipeDescriptor) -> str | None:
+        """POST a descriptor to the target service: None once accepted, else why not."""
+        return deliver(self.client, self.directory, target_service_id, descriptor, self.retry_delays)
+
+    def send_all(self, routed: list[tuple[str, PipeDescriptor]]) -> None:
+        """Send each routed copy; raise naming the first successor that did not accept it."""
+        for target, doc in routed:
+            error = self.send(target, doc)
+            if error is not None:
+                raise RuntimeError(f"successor {target!r} not reached: {error}")
 
     # -- lifecycle -----------------------------------------------------
 

@@ -5,21 +5,19 @@ from __future__ import annotations
 import json
 import logging
 import threading
-import time
 import uuid
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
-import requests
-
-from ..httpkit import Request, Response, Router
+from ..httpkit import HttpClient, Request, Response, Router
 from ..pipeline.descriptor import (
     PipeDescriptor,
     RunStatus,
     TERMINAL_STATES,
     parse_descriptor,
 )
+from ..pipeline.service import deliver
 from .triggers import Trigger, format_timestamp, next_fire_time, parse_timestamp
 
 logger = logging.getLogger(__name__)
@@ -211,7 +209,7 @@ class Scheduler:
         self._lock = threading.RLock()
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
-        self._session = requests.Session()
+        self.client = HttpClient(timeout=30)
         self._load()
         self.router = self._build_router()
 
@@ -293,22 +291,9 @@ class Scheduler:
         self.runlog.register(descriptor.runId, pipe.pipeId, [s.segmentNumber for s in descriptor.segments])
         self.runlog.record(RunStatus(descriptor.runId, pipe.pipeId, 0, "running", f"trigger {trigger.triggerId}"))
 
-        base = self.directory.get(first.serviceId)
-        error = f"no address for service {first.serviceId!r}"
-        if base is not None:
-            url = base.rstrip("/") + "/pipe"
-            for attempt in range(len(self.retry_delays) + 1):
-                try:
-                    resp = self._session.post(url, data=descriptor.dumps().encode("utf-8"), timeout=30)
-                    if resp.status_code < 400:
-                        return descriptor.runId
-                    error = f"service {first.serviceId!r} answered {resp.status_code}"
-                    if resp.status_code < 500:
-                        break
-                except requests.RequestException as exc:
-                    error = f"service {first.serviceId!r} unreachable: {exc}"
-                if attempt < len(self.retry_delays):
-                    time.sleep(self.retry_delays[attempt])
+        error = deliver(self.client, self.directory, first.serviceId, descriptor, self.retry_delays)
+        if error is None:
+            return descriptor.runId
         self.runlog.record(RunStatus(descriptor.runId, pipe.pipeId, 0, "failed", f"DispatchError: {error}"))
         raise DispatchError(error)
 

@@ -162,7 +162,6 @@ class Suite:
                 self.directory,
                 runlog_url,
                 token,
-                data_dir=cfg.data_dir,
                 workers=cfg.service_workers,
                 retry_delays=cfg.retry_delays,
             )

@@ -1,13 +1,14 @@
 import json
 import random
+import uuid
 
 import pytest
 import requests
 
-from harness import TOKEN, make_suite, run_harvest
+from harness import TOKEN, make_suite, run_harvest, wait_until
 
 from odcat.cli import fixture_pipe_definition, harvest_summary
-from odcat.harvester import synthetic_records
+from odcat.harvester import parse_envelope, synthetic_records
 
 HARVEST_SERVICES = ["scheduler", "registry", "search", "importer", "transformer", "exporter", "portal"]
 
@@ -185,3 +186,30 @@ def test_search_index_follows_harvest(stack):
     assert resp.status_code == 204
     after = requests.get(f"{stack.url('search')}/search?q=rainfall+berlin&pageSize=50", timeout=30).json()
     assert victim not in [h["id"] for h in after["hits"]]
+
+
+def test_large_identifier_list_travels_inline(tmp_path):
+    """A marker with 10,001 ids is sent inline, and nothing lands under dataDir."""
+    records = [{"id": f"r{i}"} for i in range(10_001)]
+    suite = make_suite(tmp_path, ["importer", "portal"], records=records)
+    importer = suite._pipe_services["importer"]
+    sent = []
+    importer.send = lambda target, doc: sent.append((target, doc))  # every copy is accepted
+    doc = fixture_pipe_definition(portal_address(suite))["descriptorTemplate"]
+    doc["header"]["runId"] = str(uuid.uuid4())
+    doc["body"]["segments"][0]["body"]["config"]["pageSize"] = 10_001
+    try:
+        resp = requests.post(f"{suite.url('importer')}/pipe", data=json.dumps(doc), timeout=30)
+        assert resp.status_code == 202
+        assert wait_until(lambda: importer.reporter.local, timeout=60)
+        assert [s.state for s in importer.reporter.local] == ["succeeded"]
+        assert len(sent) == 10_002
+        target, marker = sent[-1]
+        payload = marker.segment(1).payload
+        assert target == "transformer" and payload.dataRef is None
+        envelope = parse_envelope(payload)
+        assert envelope["kind"] == "identifiers" and envelope["recordTotal"] == 10_001
+        assert envelope["identifierList"]["sourceIds"] == [r["id"] for r in records]
+        assert list((tmp_path / "data").iterdir()) == []
+    finally:
+        suite.stop()

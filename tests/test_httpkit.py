@@ -1,7 +1,9 @@
+import ast
 import socket
 import statistics
 import threading
 import time
+from pathlib import Path
 
 import pytest
 import requests
@@ -85,3 +87,40 @@ def test_client_error_when_nothing_listens():
         port = probe.getsockname()[1]
     with pytest.raises(ClientError):
         HttpClient(timeout=5).request("GET", f"http://127.0.0.1:{port}/health")
+
+
+@pytest.mark.parametrize("length", ["-1", "abc"])
+def test_unframeable_content_length_is_400(length):
+    """A body length that is not a decimal count gets a 400, not a hung
+    handler (-1 would read until the client closes) or a dropped connection."""
+    service = echo_service()
+    try:
+        with socket.create_connection((service.host, service.port), timeout=5) as sock:
+            sock.sendall(
+                f"POST /pipe HTTP/1.1\r\nHost: x\r\nContent-Length: {length}\r\n\r\n".encode("ascii")
+            )
+            reply = b""
+            while b"\r\n\r\n" not in reply:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                reply += chunk
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert b"connection: close" in reply.lower()
+    finally:
+        service.stop()
+
+
+def test_only_outside_url_callers_import_requests():
+    """Calls between the suite's services go through HttpClient; requests is
+    imported only where the suite reaches outside URLs."""
+    src = Path(__file__).resolve().parent.parent / "src" / "odcat"
+    importers = set()
+    for path in src.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else []
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            if any(n == "requests" or n.startswith("requests.") for n in names):
+                importers.add(path.relative_to(src).as_posix())
+    assert importers == {"harvester/importers.py", "quality/urlcheck.py"}

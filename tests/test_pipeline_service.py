@@ -6,7 +6,9 @@ import requests
 
 from harness import FAST_RETRIES, PipeHarness, RecordingHandler, wait_until
 
-from odcat.pipeline import PipeService
+from odcat.httpkit import HttpService, Response, Router
+from odcat.pipeline import HandlerResult, PipeService, parse_descriptor
+from odcat.scheduler import DispatchError, PipeDefinition, Scheduler, Trigger
 
 
 @pytest.fixture
@@ -16,8 +18,8 @@ def three_services(tmp_path):
     harness.close()
 
 
-def submit_descriptor(url, services, run_id=None):
-    doc = {
+def descriptor_doc(services, run_id=None):
+    return {
         "header": {
             "pipeId": str(uuid.uuid4()),
             "runId": run_id or str(uuid.uuid4()),
@@ -32,7 +34,10 @@ def submit_descriptor(url, services, run_id=None):
             ]
         },
     }
-    return requests.post(f"{url}/pipe", data=json.dumps(doc), timeout=10)
+
+
+def submit_descriptor(url, services, run_id=None):
+    return requests.post(f"{url}/pipe", data=json.dumps(descriptor_doc(services, run_id)), timeout=10)
 
 
 def test_accepts_with_202_and_runs_handler_once(three_services):
@@ -96,6 +101,82 @@ def test_unreachable_successor_reports_failed(tmp_path):
         assert "unreachable" in failed["message"]
     finally:
         harness.close()
+
+
+def test_streamed_copy_to_unreachable_successor_fails_the_run(tmp_path):
+    """A handler whose emitted copies cannot be delivered fails its segment,
+    so the run ends instead of waiting for records that never come."""
+    harness = PipeHarness(tmp_path, [("streamer", False)])
+
+    def streaming_handler(ctx):
+        ctx.emit(None)
+        ctx.emit(None)
+        return HandlerResult(forward=False)
+
+    harness.services["streamer"].handler = streaming_handler
+    try:
+        harness.directory["ghost"] = "http://127.0.0.1:1"  # nothing listens there
+        run_id = harness.put_and_launch(["streamer", "ghost"])
+        view = harness.wait_run_terminal(run_id)
+        assert view["state"] == "failed"
+        (failed,) = [s for s in view["statuses"] if s["state"] == "failed"]
+        assert failed["segmentNumber"] == 0
+        assert "'ghost'" in failed["message"]
+    finally:
+        harness.close()
+
+
+def scripted_pipe_service(statuses):
+    """A /pipe endpoint answering the given statuses in turn, then the last one."""
+    bodies = []
+    router = Router("scripted")
+
+    def pipe(req):
+        bodies.append(req.body)
+        return Response.json({}, statuses[min(len(bodies), len(statuses)) - 1])
+
+    router.route("POST", "/pipe", pipe)
+    return HttpService(router).start(), bodies
+
+
+def deliver_through(caller, tmp_path, url):
+    """Send one descriptor to service "svc" through the scheduler's launch or
+    a pipe service's send: None once accepted, else the failure."""
+    directory = {"svc": url}
+    if caller == "scheduler":
+        scheduler = Scheduler(tmp_path, directory=directory, retry_delays=FAST_RETRIES)
+        template = parse_descriptor(json.dumps(descriptor_doc(["svc"])))
+        try:
+            scheduler.launch(PipeDefinition("p", "p", template), Trigger(triggerId="t", kind="immediate"))
+        except DispatchError as exc:
+            return str(exc)
+        return None
+    service = PipeService("upstream", RecordingHandler("upstream"), directory=directory, retry_delays=FAST_RETRIES)
+    try:
+        return service.send("svc", parse_descriptor(json.dumps(descriptor_doc(["svc"]))))
+    finally:
+        service.stop()
+
+
+@pytest.mark.parametrize("caller", ["scheduler", "pipe-service"])
+def test_delivery_retries_busy_service_until_accepted(caller, tmp_path):
+    http, bodies = scripted_pipe_service([503, 503, 202])
+    try:
+        assert deliver_through(caller, tmp_path, http.url) is None
+        assert len(bodies) == 3
+    finally:
+        http.stop()
+
+
+@pytest.mark.parametrize("caller", ["scheduler", "pipe-service"])
+def test_delivery_does_not_retry_a_rejection(caller, tmp_path):
+    http, bodies = scripted_pipe_service([400, 202])
+    try:
+        error = deliver_through(caller, tmp_path, http.url)
+        assert error is not None and "400" in error
+        assert len(bodies) == 1
+    finally:
+        http.stop()
 
 
 def test_decentralized_no_coordinator_after_launch(tmp_path):

@@ -8,6 +8,7 @@ import requests
 
 from harness import FAST_RETRIES, TOKEN, PipeHarness, wait_until
 
+from odcat.httpkit import ClientResponse
 from odcat.pipeline import RunStatus, parse_descriptor
 from odcat.scheduler import (
     DispatchError,
@@ -166,16 +167,12 @@ def test_shallow_merge_brute_force_over_key_sets(tmp_path):
     scheduler = Scheduler(tmp_path, directory={"sink": "http://sink"}, retry_delays=())
     dispatched = []
 
-    class FakeSession:
-        def post(self, url, data=None, timeout=None):
-            dispatched.append(parse_descriptor(data))
+    class FakeClient:
+        def request(self, method, url, body=b"", headers=None):
+            dispatched.append(parse_descriptor(body))
+            return ClientResponse(202, b"")
 
-            class Resp:
-                status_code = 202
-
-            return Resp()
-
-    scheduler._session = FakeSession()
+    scheduler.client = FakeClient()
     keys = ["a", "b", "c"]
     subsets = list(itertools.chain.from_iterable(itertools.combinations(keys, r) for r in range(4)))
     for base_keys in subsets:
@@ -205,13 +202,13 @@ def test_run_log_reconstruction_multiset(tmp_path):
 def test_scheduler_only_contacts_first_service(tmp_path):
     harness = PipeHarness(tmp_path, [("first", False), ("second", False)])
     outgoing = []
-    original_post = harness.scheduler._session.post
+    original_request = harness.scheduler.client.request
 
-    def spying_post(url, *args, **kwargs):
+    def spying_request(method, url, *args, **kwargs):
         outgoing.append(url)
-        return original_post(url, *args, **kwargs)
+        return original_request(method, url, *args, **kwargs)
 
-    harness.scheduler._session.post = spying_post
+    harness.scheduler.client.request = spying_request
     try:
         run_id = harness.put_and_launch(["first", "second"])
         harness.wait_run_terminal(run_id)
