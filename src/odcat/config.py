@@ -63,7 +63,7 @@ class Config:
     per_host_spacing: float = 1.0
     service_workers: int = 8
     retry_delays: tuple[float, ...] = (1.0, 2.0, 4.0)
-    sync_wait_seconds: float = 120.0
+    sync_wait_seconds: float = 120.0  # unused; the benchmark launcher still passes it to Config
     scheduler_tick: float = 0.5
 
     def validate(self, services: list[str] | None = None) -> None:
@@ -112,7 +112,6 @@ _FILE_KEYS = {
     "perHostSpacingSeconds": "per_host_spacing",
     "serviceWorkers": "service_workers",
     "retryDelaySeconds": "retry_delays",
-    "syncWaitSeconds": "sync_wait_seconds",
     "schedulerTickSeconds": "scheduler_tick",
 }
 
@@ -163,7 +162,6 @@ def load_config(
         "check_urls",
         "translation_targets",
         "scheduler_tick",
-        "sync_wait_seconds",
     ):
         if overrides.get(attr) is not None:
             setattr(config, attr, overrides[attr])

@@ -1,6 +1,6 @@
 """Harvesting services: importers, transformer, exporter, mock source portal."""
 
-from .records import IdentifierList, SourceRecord, marker_payload, parse_envelope, record_payload
+from .records import IdentifierList, RunEnvelope, SourceRecord, parse_envelope
 from .importers import FetchError, InconsistentCountError, import_paged_json, import_rdf_dump
 from .mapping import MappingError, MappingRule, MappingRuleSet, PathError, resolve_path, transform
 from .exporter import RegistryClient, RegistryError, finalize_sync
@@ -11,8 +11,7 @@ from .fixtures import default_mapping_rules, records_to_dump_turtle, synthetic_r
 __all__ = [
     "SourceRecord",
     "IdentifierList",
-    "record_payload",
-    "marker_payload",
+    "RunEnvelope",
     "parse_envelope",
     "FetchError",
     "InconsistentCountError",

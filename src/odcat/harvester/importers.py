@@ -1,4 +1,4 @@
-"""Importers: fetch source metadata, emit one record per dataset plus the
+"""Importers: fetch source metadata and return one record per dataset plus the
 complete identifier list used for the final synchronization step."""
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ def import_rdf_dump(
     """Split an RDF dump into per-dataset records.
 
     Returns (records, identifier list, warning count). A parse failure
-    propagates so the run fails without emitting a partial identifier list.
+    propagates so the run fails without forwarding a partial identifier list.
     """
     resp = _fetch(url, timeout)
     content_type = resp.headers.get("Content-Type", "").split(";")[0].strip().lower()

@@ -1,4 +1,4 @@
-"""Record and identifier-list envelopes carried in pipe payloads."""
+"""Source records, identifier lists and the run envelope that carries them through a pipe."""
 
 from __future__ import annotations
 
@@ -53,31 +53,41 @@ class IdentifierList:
         return cls(str(obj["catalogueId"]), str(obj["runId"]), [str(x) for x in obj["sourceIds"]])
 
 
-def record_payload(record: SourceRecord) -> Payload:
-    return Payload.json_data({"kind": "record", "record": record.to_json()})
+@dataclass
+class RunEnvelope:
+    """One harvest run as it crosses a hop: the records still on their way, the
+    records a stage could not carry on, and the source's complete identifier
+    list for the end-of-run synchronization."""
+
+    identifierList: IdentifierList
+    records: list[SourceRecord] = field(default_factory=list)
+    failed: list[dict] = field(default_factory=list)  # {"sourceId", "message"} each
+
+    def to_payload(self) -> Payload:
+        return Payload.json_data(
+            {
+                "kind": "harvest",
+                "records": [r.to_json() for r in self.records],
+                "failed": self.failed,
+                "identifierList": self.identifierList.to_json(),
+            }
+        )
 
 
-def record_error_payload(source_id: str, message: str) -> Payload:
-    return Payload.json_data({"kind": "record-error", "sourceId": source_id, "message": message})
-
-
-def marker_payload(id_list: IdentifierList, record_total: int) -> Payload:
-    """Final per-run marker carrying the complete identifier list inline."""
-    return Payload.json_data(
-        {"kind": "identifiers", "identifierList": id_list.to_json(), "recordTotal": record_total}
-    )
-
-
-def parse_envelope(payload: Payload | None) -> dict:
-    """Decode a harvest payload envelope; harvest payloads are always inline."""
+def parse_envelope(payload: Payload | None) -> RunEnvelope:
+    """Decode a run envelope; harvest payloads always travel inline."""
     if payload is None:
-        return {"kind": "none"}
+        raise ValueError("harvest segment received no payload")
     if payload.dataRef is not None:
         raise ValueError(f"harvest payloads travel inline, got a dataRef: {payload.dataRef}")
-    raw = payload.decoded() if payload.data is not None else b""
-    if not raw:
-        return {"kind": "none"}
-    obj = json.loads(raw.decode("utf-8"))
-    if not isinstance(obj, dict) or "kind" not in obj:
+    obj = json.loads(payload.decoded().decode("utf-8"))
+    if not isinstance(obj, dict) or obj.get("kind") != "harvest":
         raise ValueError("payload is not a harvest envelope")
-    return obj
+    try:
+        return RunEnvelope(
+            IdentifierList.from_json(obj["identifierList"]),
+            [SourceRecord.from_json(r) for r in obj["records"]],
+            [{"sourceId": str(f["sourceId"]), "message": str(f["message"])} for f in obj["failed"]],
+        )
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed harvest envelope: {exc!r}") from exc

@@ -1,16 +1,17 @@
 """Pipe-service wiring for importer, transformer, and exporter roles.
 
-Records stream as successive descriptor copies sharing one runId; the final
-copy carries the complete identifier list and, at the exporter, triggers the
-synchronization step once every record of the run has been handled.
+Each hop carries one descriptor per run: a `RunEnvelope` holding the run's
+records and its complete identifier list. The importer fills it, the
+transformer maps every record in one call, and the exporter writes them in
+order, then synchronizes the catalogue against the identifier list.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-import threading
 from collections import Counter
+from dataclasses import replace
 
 from ..pipeline.service import HandlerResult, PipeContext, PipeService
 from ..rdf import (  # noqa: F401 - bench/tracing.py times serialize_turtle here by name
@@ -21,15 +22,7 @@ from ..rdf import (  # noqa: F401 - bench/tracing.py times serialize_turtle here
 from .exporter import RegistryClient, RegistryError, finalize_sync
 from .importers import import_paged_json, import_rdf_dump
 from .mapping import MappingError, MappingRuleSet, PathError, transform
-from .records import (
-    WIRE_TYPE,
-    IdentifierList,
-    SourceRecord,
-    marker_payload,
-    parse_envelope,
-    record_error_payload,
-    record_payload,
-)
+from .records import WIRE_TYPE, IdentifierList, RunEnvelope, parse_envelope
 
 logger = logging.getLogger(__name__)
 
@@ -41,7 +34,7 @@ def make_importer(
     workers: int = 4,
     retry_delays: tuple[float, ...] = (1.0, 2.0, 4.0),
 ) -> PipeService:
-    """Importer service: fetch, stream records, emit the identifier list.
+    """Importer service: fetch the source, forward its records and identifier list.
 
     Segment config keys: "sourceUrl", "sourceType" ("rdf-dump"|"paged-json"),
     "catalogue", "pageSize".
@@ -63,14 +56,8 @@ def make_importer(
         else:
             raise ValueError(f"unknown sourceType {source_type!r}")
 
-        for record in records:
-            ctx.emit(record_payload(record))
-        id_list = IdentifierList(catalogue, ctx.descriptor.runId or "", ids)
-        ctx.emit(marker_payload(id_list, record_total=len(records)))
-        return HandlerResult(
-            forward=False,
-            message=json.dumps({"records": len(records), "warnings": warnings}),
-        )
+        run = RunEnvelope(IdentifierList(catalogue, ctx.descriptor.runId or "", ids), records)
+        return HandlerResult(run.to_payload(), json.dumps({"records": len(records), "warnings": warnings}))
 
     return make_pipe_service("importer", handler, directory, runlog_url, token, workers, retry_delays)
 
@@ -83,56 +70,28 @@ def make_transformer(
     workers: int = 4,
     retry_delays: tuple[float, ...] = (1.0, 2.0, 4.0),
 ) -> PipeService:
-    """Transformer service: apply the segment's "mappingRules" to records.
+    """Transformer service: apply the segment's "mappingRules" to a run's records.
 
-    Record-level mapping failures are forwarded as error envelopes so the
-    exporter's run accounting stays exact.
+    A record that cannot be mapped moves to the envelope's `failed` list, so
+    the exporter counts it and the sync still keeps its dataset.
     """
 
     def handler(ctx: PipeContext) -> HandlerResult:
-        envelope = parse_envelope(ctx.payload)
-        if envelope["kind"] == "identifiers":
-            return HandlerResult(payload=ctx.payload, report_status=True)
-        if envelope["kind"] == "record-error":
-            return HandlerResult(payload=ctx.payload, report_status=False)
-        if envelope["kind"] != "record":
-            raise ValueError(f"unexpected payload kind {envelope['kind']!r}")
-        record = SourceRecord.from_json(envelope["record"])
+        run = parse_envelope(ctx.payload)
         rules = MappingRuleSet.from_json(ctx.config.get("mappingRules", {"rules": []}))
-        try:
-            triples = transform(record, rules, base_iri)
-        except (MappingError, PathError, ParseError) as exc:
-            logger.warning("transform failed for %s: %s", record.sourceId, exc)
-            return HandlerResult(
-                payload=record_error_payload(record.sourceId, str(exc)), report_status=False
-            )
-        out = SourceRecord(
-            sourceId=record.sourceId,
-            catalogueId=record.catalogueId,
-            content=serialize_wire(triples),
-            contentType=WIRE_TYPE,
-            fetchedAt=record.fetchedAt,
-        )
-        return HandlerResult(payload=record_payload(out), report_status=False)
+        mapped = []
+        for record in run.records:
+            try:
+                triples = transform(record, rules, base_iri)
+            except (MappingError, PathError, ParseError) as exc:
+                logger.warning("transform failed for %s: %s", record.sourceId, exc)
+                run.failed.append({"sourceId": record.sourceId, "message": str(exc)})
+                continue
+            mapped.append(replace(record, content=serialize_wire(triples), contentType=WIRE_TYPE))
+        run.records = mapped
+        return HandlerResult(run.to_payload())
 
     return make_pipe_service("transformer", handler, directory, runlog_url, token, workers, retry_delays)
-
-
-class _RunAccounting:
-    def __init__(self) -> None:
-        self._cond = threading.Condition()
-        self._runs: dict[str, Counter] = {}
-
-    def bump(self, run_id: str, outcome: str) -> None:
-        with self._cond:
-            self._runs.setdefault(run_id, Counter()).update(("handled", outcome))
-            self._cond.notify_all()
-
-    def finish(self, run_id: str, total: int, timeout: float) -> tuple[bool, Counter]:
-        """Wait for `total` records of the run, then forget it: (False, counts) on timeout."""
-        with self._cond:
-            done = self._cond.wait_for(lambda: self._runs.get(run_id, Counter())["handled"] >= total, timeout)
-            return done, self._runs.pop(run_id, Counter())
 
 
 def make_exporter(
@@ -142,49 +101,27 @@ def make_exporter(
     token: str | None = None,
     workers: int = 8,
     retry_delays: tuple[float, ...] = (1.0, 2.0, 4.0),
-    sync_wait_seconds: float = 120.0,
 ) -> PipeService:
-    """Exporter service: write records to the registry, then synchronize.
+    """Exporter service: write a run's records to the registry, then synchronize.
 
-    The marker waits until the run's record count is fully handled; if
-    records never arrive the run is failed and no deletion happens.
     Segment config keys: "allowEmptySync" (default false).
     """
     client = RegistryClient(registry_url, token)
-    accounting = _RunAccounting()
 
     def handler(ctx: PipeContext) -> HandlerResult:
-        envelope = parse_envelope(ctx.payload)
-        run_id = ctx.descriptor.runId or ""
-
-        if envelope["kind"] == "record":
-            record = SourceRecord.from_json(envelope["record"])
+        run = parse_envelope(ctx.payload)
+        counts = Counter(failed=len(run.failed))
+        for record in run.records:
             try:
                 result = client.put_dataset(record.catalogueId, record.sourceId, record.content, record.contentType)
-                accounting.bump(run_id, result)
             except RegistryError as exc:
                 logger.warning("export failed for %s: %s", record.sourceId, exc)
-                accounting.bump(run_id, "failed")
-            return HandlerResult(report_status=False)
+                result = "failed"
+            counts[result] += 1
 
-        if envelope["kind"] == "record-error":
-            accounting.bump(run_id, "failed")
-            return HandlerResult(report_status=False)
-
-        if envelope["kind"] != "identifiers":
-            raise ValueError(f"unexpected payload kind {envelope['kind']!r}")
-
-        record_total = int(envelope.get("recordTotal", 0))
-        done, counts = accounting.finish(run_id, record_total, sync_wait_seconds)
-        if not done:
-            raise RuntimeError(
-                f"sync abandoned: only {counts['handled']} of {record_total} records arrived"
-            )
-
-        id_list = IdentifierList.from_json(envelope["identifierList"])
-        sync = finalize_sync(client, id_list, allow_empty=bool(ctx.config.get("allowEmptySync", False)))
+        sync = finalize_sync(client, run.identifierList, allow_empty=bool(ctx.config.get("allowEmptySync", False)))
         summary = {
-            "records": counts["handled"],
+            "records": len(run.records) + len(run.failed),
             "created": counts["created"],
             "updated": counts["updated"],
             "failed": counts["failed"],
@@ -192,9 +129,9 @@ def make_exporter(
             "kept": sync["kept"],
             "refusedEmptySync": sync["refusedEmptySync"],
         }
-        return HandlerResult(report_status=True, message=json.dumps(summary))
+        return HandlerResult(message=json.dumps(summary))
 
-    return make_pipe_service("exporter", handler, directory, runlog_url, token, max(workers, 2), retry_delays)
+    return make_pipe_service("exporter", handler, directory, runlog_url, token, workers, retry_delays)
 
 
 def make_pipe_service(

@@ -322,14 +322,17 @@ def forward(
 ) -> list[tuple[str, PipeDescriptor]]:
     """Mark a segment done and produce one descriptor copy per successor.
 
-    Each copy has its own segments and payloads, so downstream mutation of
-    one copy never leaks into its siblings (`Segment.copy` says what they
-    share). A terminal segment yields an empty list.
+    The done segment's payload was its input and is dropped, so a copy
+    carries only the payloads its successors read. Each copy has its own
+    segments and payloads, so downstream mutation of one copy never leaks
+    into its siblings (`Segment.copy` says what they share). A terminal
+    segment yields an empty list.
     """
     seg = descriptor.segment(completed)
     if seg.processed:
         raise AlreadyProcessedError(f"segment {completed} already processed")
     seg.processed = True
+    seg.payload = None
     targets = successors(descriptor, completed)
     for number in targets:
         descriptor.segment(number).payload = None if out_payload is None else replace(out_payload)

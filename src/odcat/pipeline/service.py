@@ -109,41 +109,20 @@ class StatusReporter:
 
 @dataclass
 class HandlerResult:
-    """Handler outcome controlling forwarding and status reporting.
-
-    `forward=False` means the handler did its own routing (or none);
-    `report_status=False` defers the terminal status, e.g. while streaming
-    many descriptor copies that share one run segment.
-    """
+    """A handler's outcome: the payload its successors receive and its status message."""
 
     payload: Payload | None = None
-    forward: bool = True
-    report_status: bool = True
     message: str = ""
 
 
 class PipeContext:
-    """What a handler sees: its segment, config, payload, and an emitter."""
+    """What a handler sees: the run's descriptor, its segment, config and payload."""
 
-    def __init__(self, service: "PipeService", descriptor: PipeDescriptor, segment: Segment):
-        self.service = service
+    def __init__(self, descriptor: PipeDescriptor, segment: Segment):
         self.descriptor = descriptor
         self.segment = segment
         self.config = segment.config
         self.payload = segment.payload
-
-    def emit(self, payload: Payload | None) -> int:
-        """Forward one fresh descriptor copy carrying `payload` to successors.
-
-        Used by streaming handlers that fan a single submission out into many
-        per-record copies; the copy sent downstream marks this segment
-        processed while the original stays reusable. Raises if a successor
-        does not accept its copy, which fails the handler.
-        """
-        pristine = self.descriptor.copy()
-        routed = forward(pristine, self.segment.segmentNumber, payload)
-        self.service.send_all(routed)
-        return len(routed)
 
 
 Handler = Callable[[PipeContext], "HandlerResult | Payload | None"]
@@ -198,19 +177,19 @@ class PipeService:
         )
 
     def _execute(self, descriptor: PipeDescriptor, segment: Segment) -> None:
-        ctx = PipeContext(self, descriptor, segment)
         try:
-            outcome = self.handler(ctx)
-            if outcome is None or isinstance(outcome, Payload):
+            outcome = self.handler(PipeContext(descriptor, segment))
+            if not isinstance(outcome, HandlerResult):
                 outcome = HandlerResult(payload=outcome)
-            if outcome.forward:
-                self.send_all(forward(descriptor, segment.segmentNumber, outcome.payload))
+            for target, doc in forward(descriptor, segment.segmentNumber, outcome.payload):
+                error = self.send(target, doc)
+                if error is not None:
+                    raise RuntimeError(f"successor {target!r} not reached: {error}")
         except Exception as exc:
             logger.warning("%s: segment failed on run %s: %s", self.service_id, descriptor.runId, exc)
             self._report(descriptor, segment.segmentNumber, "failed", str(exc))
             return
-        if outcome.report_status:
-            self._report(descriptor, segment.segmentNumber, "succeeded", outcome.message)
+        self._report(descriptor, segment.segmentNumber, "succeeded", outcome.message)
 
     def _report(self, descriptor: PipeDescriptor, segment_number: int, state: str, message: str = "") -> None:
         self.reporter.report(
@@ -226,13 +205,6 @@ class PipeService:
     def send(self, target_service_id: str, descriptor: PipeDescriptor) -> str | None:
         """POST a descriptor to the target service: None once accepted, else why not."""
         return deliver(self.client, self.directory, target_service_id, descriptor, self.retry_delays)
-
-    def send_all(self, routed: list[tuple[str, PipeDescriptor]]) -> None:
-        """Send each routed copy; raise naming the first successor that did not accept it."""
-        for target, doc in routed:
-            error = self.send(target, doc)
-            if error is not None:
-                raise RuntimeError(f"successor {target!r} not reached: {error}")
 
     # -- lifecycle -----------------------------------------------------
 

@@ -25,6 +25,11 @@ def _lang_map(graph, dataset, predicate) -> dict[str, str]:
     return group(literals)
 
 
+def _values(report: QualityReport) -> list[tuple]:
+    """What the metrics graph stores of a report, apart from each measurement's time."""
+    return [(m.metric_id, m.value, m.computed_on) for m in report.measurements]
+
+
 class QualityService:
     """Validates, checks URLs, scores, persists, and indexes similarity."""
 
@@ -100,8 +105,13 @@ class QualityService:
             dataset_id=dataset_id,
             catalogue_id=catalogue_id,
         )
+        previous = self.reports.get(dataset_id)
+        if previous is not None and _values(previous) == _values(report):
+            # the stored measurements still hold: keep them and their times, write nothing
+            report.measurements = previous.measurements
+        else:
+            self.persist(report)
         self.reports[dataset_id] = report
-        self.persist(report)
         if self.search_index is not None:
             self.search_index.set_quality(dataset_id, float(report.overall))
         self._index_similarity(dataset_id, graph)

@@ -192,7 +192,6 @@ class Suite:
                 token,
                 workers=cfg.service_workers,
                 retry_delays=cfg.retry_delays,
-                sync_wait_seconds=cfg.sync_wait_seconds,
             )
             self._pipe_services["exporter"] = svc
             self._bind("exporter", svc.router)

@@ -33,7 +33,6 @@ def make_suite(tmp_path, services=None, records=None, **overrides) -> Suite:
         check_urls=False,
         retry_delays=FAST_RETRIES,
         scheduler_tick=0.1,
-        sync_wait_seconds=30.0,
     )
     for key, value in overrides.items():
         setattr(config, key, value)

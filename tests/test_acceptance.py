@@ -218,7 +218,6 @@ def test_criterion_03_throughput_10k(tmp_path):
             tmp_path,
             ["scheduler", "registry", "search", "importer", "transformer", "exporter", "portal"],
             records=synthetic_records(10_000),
-            sync_wait_seconds=240.0,
         )
         try:
             requests.put(

@@ -151,6 +151,9 @@ def test_forward_linear():
     assert [t for t, _ in out] == ["b"]
     assert d.segment(0).processed
     assert out[0][1].segment(1).payload.data == "hello"
+    # the next hop carries the new payload, not the one segment 1 consumed
+    ((_, onward),) = forward(out[0][1], 1, Payload.text("mapped"))
+    assert onward.segment(1).payload is None and onward.segment(2).payload.data == "mapped"
 
 
 def test_forward_fan_out_duplicates_payload():

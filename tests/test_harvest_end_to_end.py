@@ -1,6 +1,7 @@
 import json
 import random
 import uuid
+from collections import Counter
 
 import pytest
 import requests
@@ -189,12 +190,13 @@ def test_search_index_follows_harvest(stack):
 
 
 def test_large_identifier_list_travels_inline(tmp_path):
-    """A marker with 10,001 ids is sent inline, and nothing lands under dataDir."""
+    """A run of 10,001 records crosses to the transformer in one send, records
+    and ids inline, and nothing lands under dataDir."""
     records = [{"id": f"r{i}"} for i in range(10_001)]
     suite = make_suite(tmp_path, ["importer", "portal"], records=records)
     importer = suite._pipe_services["importer"]
     sent = []
-    importer.send = lambda target, doc: sent.append((target, doc))  # every copy is accepted
+    importer.send = lambda target, doc: sent.append((target, doc))  # every send is accepted
     doc = fixture_pipe_definition(portal_address(suite))["descriptorTemplate"]
     doc["header"]["runId"] = str(uuid.uuid4())
     doc["body"]["segments"][0]["body"]["config"]["pageSize"] = 10_001
@@ -203,13 +205,74 @@ def test_large_identifier_list_travels_inline(tmp_path):
         assert resp.status_code == 202
         assert wait_until(lambda: importer.reporter.local, timeout=60)
         assert [s.state for s in importer.reporter.local] == ["succeeded"]
-        assert len(sent) == 10_002
-        target, marker = sent[-1]
-        payload = marker.segment(1).payload
+        ((target, run_doc),) = sent
+        payload = run_doc.segment(1).payload
         assert target == "transformer" and payload.dataRef is None
-        envelope = parse_envelope(payload)
-        assert envelope["kind"] == "identifiers" and envelope["recordTotal"] == 10_001
-        assert envelope["identifierList"]["sourceIds"] == [r["id"] for r in records]
+        run = parse_envelope(payload)
+        assert [r.sourceId for r in run.records] == [r["id"] for r in records]
+        assert [json.loads(r.content) for r in run.records] == records
+        assert run.identifierList.sourceIds == [r["id"] for r in records]
+        assert run.failed == []
         assert list((tmp_path / "data").iterdir()) == []
+    finally:
+        suite.stop()
+
+
+def count_pipe_posts(suite) -> Counter:
+    """Count the POST /pipe requests each of the suite's pipe services receives."""
+    posts: Counter = Counter()
+    for name, service in suite._pipe_services.items():
+
+        def logged(method, path, query, headers, body, name=name, original=service.router.dispatch):
+            if (method, path) == ("POST", "/pipe"):
+                posts[name] += 1
+            return original(method, path, query, headers, body)
+
+        service.router.dispatch = logged
+    return posts
+
+
+@pytest.mark.parametrize("size", [1, 200])
+def test_each_hop_carries_one_descriptor_per_run(tmp_path, size):
+    """The launch and two hops: three POST /pipe calls, whatever the run's size."""
+    suite = make_suite(tmp_path, HARVEST_SERVICES, records=synthetic_records(size))
+    posts = count_pipe_posts(suite)
+    try:
+        catalogue_setup(suite)
+        view = run_harvest(suite, fixture_pipe_definition(portal_address(suite)))
+        assert view["state"] == "succeeded"
+        assert harvest_summary(view)["created"] == size
+        assert posts == {"importer": 1, "transformer": 1, "exporter": 1}
+    finally:
+        suite.stop()
+
+
+def without_title(records, ids):
+    """The records, those named in `ids` without the title the mapping requires."""
+    return [{k: v for k, v in r.items() if k != "title"} if r["id"] in ids else r for r in records]
+
+
+def test_records_that_cannot_be_mapped_fail_alone_and_are_kept_by_the_sync(tmp_path):
+    records = synthetic_records(40)
+    broken = {r["id"] for r in records[::8]}
+    suite = make_suite(tmp_path, HARVEST_SERVICES, records=without_title(records, broken))
+    try:
+        catalogue_setup(suite)
+        pipe = fixture_pipe_definition(portal_address(suite))
+        view = run_harvest(suite, pipe)
+        assert view["state"] == "succeeded"
+        summary = harvest_summary(view)
+        assert (summary["records"], summary["failed"], summary["created"]) == (40, 5, 35)
+        assert summary["deleted"] == 0
+        assert set(registry_original_ids(suite)) == {r["id"] for r in records} - broken
+
+        # those five are mended and five stored ones break: the sync keeps the five
+        rebroken = {r["id"] for r in records[1::8]}
+        suite.portal.set_records(without_title(records, rebroken))
+        view = run_harvest(suite, pipe)
+        summary = harvest_summary(view)
+        assert (summary["failed"], summary["created"], summary["updated"]) == (5, 5, 30)
+        assert summary["deleted"] == 0
+        assert set(registry_original_ids(suite)) == {r["id"] for r in records}
     finally:
         suite.stop()

@@ -5,20 +5,24 @@ import pytest
 from odcat import ns
 from odcat.harvester import (
     FetchError,
+    IdentifierList,
     InconsistentCountError,
     MappingError,
     MappingRuleSet,
     MockPortal,
     PathError,
+    RunEnvelope,
     SourceRecord,
     default_mapping_rules,
     import_paged_json,
     import_rdf_dump,
+    parse_envelope,
     records_to_dump_turtle,
     resolve_path,
     synthetic_records,
     transform,
 )
+from odcat.pipeline import Payload
 from odcat.rdf import BlankNode, IRI, Literal, canonical_ntriples, parse_turtle
 
 BASE = "http://odcat.test"
@@ -37,6 +41,32 @@ def test_resolve_paths():
         resolve_path(obj, "a..b")
     with pytest.raises(PathError):
         resolve_path(obj, "a[x]")
+
+
+# -- run envelope ----------------------------------------------------------
+
+
+def test_run_envelope_round_trip():
+    run = RunEnvelope(
+        IdentifierList("cat1", "run-1", ["a", "b"]),
+        [SourceRecord("a", "cat1", "{}", "application/json", "2024-01-01T00:00:00Z")],
+        [{"sourceId": "b", "message": "required path 'title' is absent"}],
+    )
+    assert parse_envelope(run.to_payload()) == run
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        (Payload("text", "application/json", dataRef="http://x/run"), "inline"),
+        (None, "no payload"),
+        (Payload.json_data({"kind": "record", "record": {}}), "not a harvest envelope"),
+        (Payload.json_data({"kind": "harvest", "records": []}), "malformed"),
+    ],
+)
+def test_parse_envelope_refuses(payload, message):
+    with pytest.raises(ValueError, match=message):
+        parse_envelope(payload)
 
 
 # -- transform ------------------------------------------------------------

@@ -135,6 +135,25 @@ def test_assessment_persists_metrics_graph(registry, quality):
     assert metric_graphs == [f"{BASE}/metrics/d1"]
 
 
+def test_reassessment_writes_metrics_only_when_a_value_changed(registry, quality, monkeypatch):
+    registry.put_dataset("cat1", "d1", parse_turtle(full_dataset(1)))
+    quality.drain()
+    first, stored = quality.reports["d1"], registry.metrics_graph("d1")
+    writes = []
+    put_metrics = registry.put_metrics
+    monkeypatch.setattr(registry, "put_metrics", lambda *args: (writes.append(args[0]), put_metrics(*args)))
+
+    # a translation-like write-back adds literals no measurement reads
+    registry.put_dataset("cat1", "d1", parse_turtle(full_dataset(1) + '<http://src/d1> dct:title "Jeu 1"@fr .'))
+    quality.drain()
+    assert writes == [] and quality.reports["d1"].measurements == first.measurements
+    assert registry.metrics_graph("d1") == stored
+
+    registry.put_dataset("cat1", "d1", parse_turtle(full_dataset(1).replace('dcat:keyword "rain"@en ;', "")))
+    quality.drain()
+    assert writes == ["d1"] and quality.reports["d1"].measurements != first.measurements
+
+
 def test_deleted_dataset_leaves_no_metrics(registry, quality):
     registry.put_dataset("cat1", "d1", parse_turtle(full_dataset(1)))
     quality.drain()
