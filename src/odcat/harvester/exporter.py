@@ -40,11 +40,6 @@ class RegistryClient:
             raise RegistryError(f"PUT dataset {original_id!r} answered {resp.status}: {resp.text[:200]}")
         return resp.json().get("result", "updated")
 
-    def put_catalogue(self, catalogue_id: str, turtle: str = "") -> None:
-        resp = self._call("PUT", f"/catalogues/{quote(catalogue_id)}", turtle.encode("utf-8"), "text/turtle")
-        if resp.status not in (200, 201):
-            raise RegistryError(f"PUT catalogue answered {resp.status}")
-
     def list_ids(self, catalogue_id: str, page_size: int = 500) -> dict[str, str]:
         """originalId -> id for every dataset of the catalogue."""
         out: dict[str, str] = {}

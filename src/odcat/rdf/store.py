@@ -33,7 +33,11 @@ def _batch_count(line: str, lineno: int) -> int:
 
 
 class QuadStore:
-    """Set-semantics quad store indexed by graph, subject, and (pred, obj).
+    """Set-semantics quad store with one index: each graph's set of quads.
+
+    Each quad is kept once, in its graph's set, and a count of all quads
+    answers `len()`. `match` scans one graph's set, or every set when no
+    graph is given; the registry's lookups are scans of one dataset graph.
 
     All mutations are serialized by one lock and, when a data directory is
     configured, appended to a write-ahead log of N-Quads lines. A mutation
@@ -48,10 +52,8 @@ class QuadStore:
     """
 
     def __init__(self, data_dir: str | Path | None = None, compact_every: int = 500_000):
-        self._quads: set[Quad] = set()
         self._by_graph: dict[str, set[Quad]] = {}
-        self._by_gs: dict[tuple[str, Term], set[Quad]] = {}
-        self._by_gpo: dict[tuple[str, str, Term], set[Quad]] = {}
+        self._count = 0
         self._lock = threading.RLock()
         self._wal = None
         self._wal_lines = 0
@@ -129,40 +131,33 @@ class QuadStore:
     # -- index maintenance ----------------------------------------------
 
     def _index_add(self, q: Quad) -> bool:
-        if q in self._quads:
+        bucket = self._by_graph.setdefault(q.graph, set())
+        size = len(bucket)
+        bucket.add(q)  # one hash: the size tells whether q was new
+        if len(bucket) == size:
             return False
-        self._quads.add(q)
-        self._by_graph.setdefault(q.graph, set()).add(q)
-        self._by_gs.setdefault((q.graph, q.subject), set()).add(q)
-        self._by_gpo.setdefault((q.graph, q.predicate.value, q.object), set()).add(q)
+        self._count += 1
         return True
 
     def _index_remove(self, q: Quad) -> bool:
-        if q not in self._quads:
+        bucket = self._by_graph.get(q.graph)
+        if bucket is None or q not in bucket:
             return False
-        self._quads.discard(q)
-        for index, key in (
-            (self._by_graph, q.graph),
-            (self._by_gs, (q.graph, q.subject)),
-            (self._by_gpo, (q.graph, q.predicate.value, q.object)),
-        ):
-            bucket = index.get(key)
-            if bucket is not None:
-                bucket.discard(q)
-                if not bucket:
-                    del index[key]
+        bucket.remove(q)
+        if not bucket:
+            del self._by_graph[q.graph]
+        self._count -= 1
         return True
 
     def _clear_graph(self, graph: str) -> int:
-        quads = list(self._by_graph.get(graph, ()))
-        for q in quads:
-            self._index_remove(q)
-        return len(quads)
+        n = len(self._by_graph.pop(graph, ()))
+        self._count -= n
+        return n
 
     # -- public API ------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._quads)
+        return self._count
 
     def add(self, graph: str, triple: Triple) -> bool:
         """Insert one quad; returns False if it was already present."""
@@ -244,17 +239,13 @@ class QuadStore:
         """All quads matching the given concrete positions (None = any)."""
         with self._lock:
             if graph is not None:
-                if subject is not None:
-                    candidates = self._by_gs.get((graph, subject), set())
-                elif predicate is not None and obj is not None:
-                    candidates = self._by_gpo.get((graph, predicate.value, obj), set())
-                else:
-                    candidates = self._by_graph.get(graph, set())
+                buckets = [self._by_graph.get(graph, ())]
             else:
-                candidates = self._quads
+                buckets = self._by_graph.values()
             return [
                 q
-                for q in candidates
+                for bucket in buckets
+                for q in bucket
                 if (subject is None or q.subject == subject)
                 and (predicate is None or q.predicate == predicate)
                 and (obj is None or q.object == obj)
@@ -263,9 +254,6 @@ class QuadStore:
     def objects(self, graph: str | None, subject: Term, predicate: IRI) -> list[Term]:
         return [q.object for q in self.match(graph, subject, predicate)]
 
-    def subjects(self, graph: str | None, predicate: IRI, obj: Term) -> list[Term]:
-        return [q.subject for q in self.match(graph, None, predicate, obj)]
-
     # -- persistence ------------------------------------------------------
 
     def compact(self) -> None:
@@ -273,7 +261,7 @@ class QuadStore:
         if self._data_dir is None:
             return
         with self._lock:
-            lines = sorted(_format_quad(q) for q in self._quads)
+            lines = sorted(_format_quad(q) for bucket in self._by_graph.values() for q in bucket)
             tmp = self._snapshot_path.with_suffix(".tmp")
             tmp.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
             tmp.replace(self._snapshot_path)

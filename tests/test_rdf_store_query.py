@@ -1,3 +1,4 @@
+import itertools
 import random
 import tempfile
 
@@ -12,6 +13,7 @@ DATASET = IRI("http://www.w3.org/ns/dcat#Dataset")
 TITLE = IRI("http://purl.org/dc/terms/title")
 G1 = "http://x/graphs/1"
 G2 = "http://x/graphs/2"
+G3 = "http://x/graphs/3"
 
 
 def test_insert_idempotent():
@@ -165,7 +167,7 @@ _store_quads = st.lists(
         _store_nodes,
         st.sampled_from([TITLE, RDF_TYPE, IRI("http://x/p/ä")]),
         st.one_of(_store_nodes, _store_literals),
-        st.sampled_from([G1, G2]),
+        st.sampled_from([G1, G2, G3]),
     ),
     max_size=12,
 )
@@ -176,17 +178,37 @@ _store_quads = st.lists(
 def test_store_round_trips_quads_through_wal_and_snapshot(quads):
     with tempfile.TemporaryDirectory() as directory:
         store = QuadStore(directory)
+        expected = set()
         for q in quads:
             store.add(q.graph, q.triple)
+            expected.add(q)
         for q in quads[::3]:
             store.remove(q.graph, q.triple)
-        expected = set(store.match())
+            expected.discard(q)
+        # also_add repeats quads G2 already holds: they must not count twice
+        store.replace_graph(G1, [q.triple for q in quads[1::2]], also_add=[q for q in expected if q.graph == G2])
+        expected = {q for q in expected if q.graph != G1} | {Quad(*q.triple, G1) for q in quads[1::2]}
+        assert store.delete_graph(G3) == sum(q.graph == G3 for q in expected)
+        expected = {q for q in expected if q.graph != G3}
+
+        def check(s):
+            assert set(s.match()) == expected
+            assert len(s) == len(expected)
+            for q in quads:
+                for pos in itertools.product(*((None, v) for v in (q.graph, q.subject, q.predicate, q.object))):
+                    want = {
+                        e for e in expected if all(v is None or v == f for v, f in zip(pos, (e.graph, *e.triple)))
+                    }
+                    got = s.match(*pos)
+                    assert set(got) == want and len(got) == len(want), pos
+
+        check(store)
         del store
         from_wal = QuadStore(directory)
-        assert set(from_wal.match()) == expected
+        check(from_wal)
         from_wal.close()
         from_snapshot = QuadStore(directory)
-        assert set(from_snapshot.match()) == expected
+        check(from_snapshot)
         from_snapshot.close()
 
 
