@@ -3,14 +3,14 @@
 Each hop carries one descriptor per run: a `RunEnvelope` holding the run's
 records and its complete identifier list. The importer fills it, the
 transformer maps every record in one call, and the exporter writes them in
-order, then synchronizes the catalogue against the identifier list.
+order, 100 to a registry request, then synchronizes the catalogue against
+the identifier list.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from collections import Counter
 from dataclasses import replace
 
 from ..pipeline.service import HandlerResult, PipeContext, PipeService
@@ -19,7 +19,7 @@ from ..rdf import (  # noqa: F401 - bench/tracing.py times serialize_turtle here
     serialize_turtle,
     serialize_wire,
 )
-from .exporter import RegistryClient, RegistryError, finalize_sync
+from .exporter import RegistryClient, export_records, finalize_sync
 from .importers import import_paged_json, import_rdf_dump
 from .mapping import MappingError, MappingRuleSet, PathError, transform
 from .records import WIRE_TYPE, IdentifierList, RunEnvelope, parse_envelope
@@ -72,8 +72,10 @@ def make_transformer(
 ) -> PipeService:
     """Transformer service: apply the segment's "mappingRules" to a run's records.
 
-    A record that cannot be mapped moves to the envelope's `failed` list, so
-    the exporter counts it and the sync still keeps its dataset.
+    N-Triples records are already in the form the registry takes and pass
+    through unparsed. A record that cannot be mapped moves to the envelope's
+    `failed` list, so the exporter counts it and the sync still keeps its
+    dataset.
     """
 
     def handler(ctx: PipeContext) -> HandlerResult:
@@ -81,6 +83,9 @@ def make_transformer(
         rules = MappingRuleSet.from_json(ctx.config.get("mappingRules", {"rules": []}))
         mapped = []
         for record in run.records:
+            if record.contentType == WIRE_TYPE:
+                mapped.append(record)
+                continue
             try:
                 triples = transform(record, rules, base_iri)
             except (MappingError, PathError, ParseError) as exc:
@@ -110,15 +115,8 @@ def make_exporter(
 
     def handler(ctx: PipeContext) -> HandlerResult:
         run = parse_envelope(ctx.payload)
-        counts = Counter(failed=len(run.failed))
-        for record in run.records:
-            try:
-                result = client.put_dataset(record.catalogueId, record.sourceId, record.content, record.contentType)
-            except RegistryError as exc:
-                logger.warning("export failed for %s: %s", record.sourceId, exc)
-                result = "failed"
-            counts[result] += 1
-
+        counts = export_records(client, run.identifierList.catalogueId, run.records)
+        counts["failed"] += len(run.failed)
         sync = finalize_sync(client, run.identifierList, allow_empty=bool(ctx.config.get("allowEmptySync", False)))
         summary = {
             "records": len(run.records) + len(run.failed),

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import uuid
 from collections import Counter
@@ -52,7 +53,26 @@ def catalogue_setup(suite, catalogue="mock"):
     assert resp.status_code in (200, 201)
 
 
+def count_registry_writes(suite) -> Counter:
+    """Count the write requests the suite's registry receives: bulk writes
+    ("datasets"), deletion requests ("deletions") and single-dataset PUTs and
+    DELETEs ("PUT", "DELETE")."""
+    writes: Counter = Counter()
+    router = suite._http["registry"].router
+
+    def logged(method, path, query, headers, body, original=router.dispatch):
+        if method == "POST":
+            writes[path.rsplit("/", 1)[1]] += 1
+        elif method in ("PUT", "DELETE") and path.startswith("/datasets/"):
+            writes[method] += 1
+        return original(method, path, query, headers, body)
+
+    router.dispatch = logged
+    return writes
+
+
 def test_sync_convergence_after_removals(stack):
+    writes = count_registry_writes(stack)
     catalogue_setup(stack)
     pipe = fixture_pipe_definition(portal_address(stack))
 
@@ -72,6 +92,8 @@ def test_sync_convergence_after_removals(stack):
     assert summary["deleted"] == 30
     assert summary["updated"] == 170
     assert set(registry_original_ids(stack)) == {r["id"] for r in survivors}
+    # 200 then 170 records in chunks of 100; the 30 vanished ids in one request
+    assert writes == {"datasets": 4, "deletions": 1}
 
 
 def test_no_deletions_on_importer_fault(stack):
@@ -236,13 +258,15 @@ def count_pipe_posts(suite) -> Counter:
 def test_each_hop_carries_one_descriptor_per_run(tmp_path, size):
     """The launch and two hops: three POST /pipe calls, whatever the run's size."""
     suite = make_suite(tmp_path, HARVEST_SERVICES, records=synthetic_records(size))
-    posts = count_pipe_posts(suite)
+    posts, writes = count_pipe_posts(suite), count_registry_writes(suite)
     try:
         catalogue_setup(suite)
         view = run_harvest(suite, fixture_pipe_definition(portal_address(suite)))
         assert view["state"] == "succeeded"
         assert harvest_summary(view)["created"] == size
         assert posts == {"importer": 1, "transformer": 1, "exporter": 1}
+        # the records reach the registry 100 to a request, none by a single PUT
+        assert writes == {"datasets": math.ceil(size / 100)}
     finally:
         suite.stop()
 

@@ -22,6 +22,7 @@ from odcat.harvester import (
     synthetic_records,
     transform,
 )
+from odcat.harvester.exporter import RegistryError, export_records
 from odcat.pipeline import Payload
 from odcat.rdf import BlankNode, IRI, Literal, canonical_ntriples, parse_turtle
 
@@ -316,3 +317,25 @@ def test_inconsistent_count_refetches_once_then_fails():
         assert calls["n"] > 2  # a full retry happened before giving up
     finally:
         portal.stop()
+
+
+def test_export_records_counts_each_item_and_fails_a_refused_chunk_whole():
+    class ChunkRecorder:
+        def __init__(self):
+            self.chunks = []
+
+        def put_datasets(self, catalogue_id, records):
+            self.chunks.append((catalogue_id, len(records)))
+            if len(self.chunks) == 2:
+                raise RegistryError("registry unreachable")
+            return [
+                {"originalId": r.sourceId, "status": 400, "error": "ParseError", "message": "bad"}
+                if r.sourceId == "r7"
+                else {"originalId": r.sourceId, "id": r.sourceId, "result": "created"}
+                for r in records
+            ]
+
+    client = ChunkRecorder()
+    records = [SourceRecord(f"r{i}", "c", "", "application/n-triples") for i in range(250)]
+    assert export_records(client, "c", records) == {"created": 149, "failed": 101}
+    assert client.chunks == [("c", 100), ("c", 100), ("c", 50)]

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from odcat import ns
+from odcat.harvester import RegistryClient, RegistryError
 from odcat.httpkit import HttpService
 from odcat.rdf import (
     IRI,
@@ -402,18 +403,42 @@ def test_a_torn_put_dataset_keeps_the_dataset_and_its_link_together(tmp_path):
     assert mutation[0] == f"B {len(mutation) - 1}"  # graph and link in one mutation
     assert "/catalogues/c>" in mutation[-1]
 
+    def reopened_cuts(start):
+        """(cut, registry reopened from the WAL cut there, its listing of "c") for every cut from `start`."""
+        data = (live / "wal.nq").read_bytes()
+        for cut in range(start, len(data) + 1):
+            directory = tmp_path / f"cut-{start}-{cut}"
+            directory.mkdir()
+            (directory / "wal.nq").write_bytes(data[:cut])
+            reopened = Registry(QuadStore(directory), BASE)
+            assert all(reopened.dataset_info(ds_id)[0] == "c" for ds_id in reopened.dataset_ids()), cut
+            yield cut, reopened, reopened.dataset_ids("c")
+            reopened.store.close()
+
     present = set()
-    for cut in range(last, len(data) + 1):
-        directory = tmp_path / f"cut-{cut}"
-        directory.mkdir()
-        (directory / "wal.nq").write_bytes(data[:cut])
-        reopened = Registry(QuadStore(directory), BASE)
-        listed = reopened.dataset_ids("c")
-        assert all(reopened.dataset_info(ds_id)[0] == "c" for ds_id in reopened.dataset_ids()), cut
+    for cut, reopened, listed in reopened_cuts(last):
         assert reopened.has_dataset("d1") == ("d1" in listed), cut
         present.add(reopened.has_dataset("d1"))
         assert "d0" in listed, cut
     assert present == {False, True}
+
+    # three datasets in one bulk request: each is its own mutation, so a cut
+    # keeps a prefix of the chunk, each dataset with its link
+    chunk, last = ["d2", "d3", "d4"], wal_size(live)
+    items = [{"originalId": o, "contentType": "text/turtle", "content": dataset_turtle(o)} for o in chunk]
+    svc = HttpService(build_registry_router(reg, token=TOKEN)).start()
+    try:
+        resp = requests.post(f"{svc.url}/catalogues/c/datasets", json={"datasets": items}, headers=auth(), timeout=10)
+    finally:
+        svc.stop()
+    assert [r["result"] for r in resp.json()["results"]] == ["created"] * 3
+    kept = set()
+    for cut, reopened, listed in reopened_cuts(last):
+        stored = [o for o in chunk if reopened.has_dataset(o)]
+        assert stored == chunk[: len(stored)], cut
+        assert all(o in listed for o in stored) and {"d0", "d1"} <= set(listed), cut
+        kept.add(len(stored))
+    assert kept == {0, 1, 2, 3}
 
 
 def test_concurrent_puts_and_translations_keep_counts_and_enrichment_current(registry):
@@ -561,3 +586,76 @@ def test_http_put_with_malformed_unicode_escape_is_a_400(registry):
         assert resp.status == 400, resp.body
         assert json.loads(resp.body)["error"] == "ParseError"
     assert registry.dataset_ids() == []
+
+
+def test_http_bulk_write_takes_each_item_alone_and_answers_in_order():
+    reg = Registry(QuadStore(), BASE)
+    reg.put_catalogue("cat1")
+    reg.put_catalogue("cat2")
+    search = SearchService(reg)
+    svc = HttpService(build_registry_router(reg, token=TOKEN)).start()
+    nt = serialize_ntriples(parse_turtle(dataset_turtle("Snow")))
+    no_node = '<http://x/a> <http://x/p> "v" .'
+    two_nodes = dataset_turtle(extra="<http://source.example/d2> a <http://www.w3.org/ns/dcat#Dataset> .")
+    items = [
+        ("g1", "text/turtle", dataset_turtle("Rain")),
+        ("bad-parse", "text/turtle", dataset_turtle(title="\\UFFFFFFFF")),
+        ("g2", "application/n-triples", nt),
+        ("no-node", "text/turtle", no_node),
+        ("two-nodes", "text/turtle", two_nodes),
+        ("", "text/turtle", dataset_turtle("Fog")),
+        ("g3", "text/turtle", dataset_turtle("Hail")),
+    ]
+    body = {"datasets": [{"originalId": o, "contentType": t, "content": c} for o, t, c in items]}
+    try:
+        resp = requests.post(f"{svc.url}/catalogues/cat1/datasets", json=body, headers=auth(), timeout=10)
+        assert resp.status_code == 200, resp.text
+        results = resp.json()["results"]
+        assert [(r["originalId"], r.get("result") or r["error"], r.get("status")) for r in results] == [
+            ("g1", "created", None),
+            ("bad-parse", "ParseError", 400),
+            ("g2", "created", None),
+            ("no-node", "NoDatasetNode", 400),
+            ("two-nodes", "MultipleDatasetNodes", 400),
+            ("", "EmptyId", 400),
+            ("g3", "created", None),
+        ]
+        assert [r.get("id") for r in results] == ["g1", None, "g2", None, None, None, "g3"]
+        assert all(r["message"] for r in results if "error" in r)
+        assert reg.dataset_ids("cat1") == ["g1", "g2", "g3"]
+        assert [h["id"] for h in search.index.search("", {}, 0, 10)["hits"]] == ["g1", "g2", "g3"]
+        assert [h["id"] for h in search.index.search("hail", {}, 0, 10)["hits"]] == ["g3"]
+
+        unknown = requests.post(f"{svc.url}/catalogues/nope/datasets", json=body, headers=auth(), timeout=10)
+        assert unknown.status_code == 404 and unknown.json()["error"] == "UnknownCatalogue"
+        assert requests.post(f"{svc.url}/catalogues/cat1/datasets", json=body, timeout=10).status_code == 401
+        for malformed in ({"datasets": [{"originalId": "g4", "content": "x"}]}, {"ids": []}, [1]):
+            resp = requests.post(f"{svc.url}/catalogues/cat1/datasets", json=malformed, headers=auth(), timeout=10)
+            assert resp.status_code == 400, malformed
+        assert reg.dataset_ids() == ["g1", "g2", "g3"]
+
+        client = RegistryClient(svc.url, TOKEN)
+        assert client.put_dataset("cat1", "g3", dataset_turtle("Sleet"), "text/turtle") == "updated"
+        with pytest.raises(RegistryError, match="NoDatasetNode|no dcat:Dataset"):
+            client.put_dataset("cat1", "g4", no_node, "text/turtle")
+        assert reg.dataset_ids() == ["g1", "g2", "g3"]
+
+        # deletions answer per id; an id of another catalogue is absent there
+        resp = requests.post(
+            f"{svc.url}/catalogues/cat2/deletions", json={"ids": ["g1"]}, headers=auth(), timeout=10
+        )
+        assert resp.json()["results"] == [{"id": "g1", "result": "absent"}]
+        resp = requests.post(
+            f"{svc.url}/catalogues/cat1/deletions", json={"ids": ["g1", "nope", "g1"]}, headers=auth(), timeout=10
+        )
+        assert resp.status_code == 200, resp.text
+        assert [r["result"] for r in resp.json()["results"]] == ["deleted", "absent", "absent"]
+        assert reg.dataset_ids() == ["g2", "g3"]
+        assert requests.post(f"{svc.url}/catalogues/cat1/deletions", json={"ids": ["g2"]}, timeout=10).status_code == 401
+        resp = requests.post(f"{svc.url}/catalogues/nope/deletions", json={"ids": ["g2"]}, headers=auth(), timeout=10)
+        assert resp.status_code == 404
+        resp = requests.post(f"{svc.url}/catalogues/cat1/deletions", json={"ids": "g2"}, headers=auth(), timeout=10)
+        assert resp.status_code == 400
+        assert reg.dataset_ids() == ["g2", "g3"]
+    finally:
+        svc.stop()
