@@ -1,15 +1,16 @@
 """N-Triples and N-Quads line grammar (W3C RDF 1.1).
 
-Each term of a line is matched by one compiled regex. A `LineParser` builds
-each distinct IRI, blank node and literal once, keyed by its source text, so
-a document or a store replay that repeats a term shares one object for it.
-Only a line that fails to match is scanned again, to name the error and its
-column.
+A whole line is matched by one compiled regex per statement shape, which
+captures each term's source text. A `LineParser` builds each distinct IRI,
+blank node and literal once, keyed by that text, so a document or a store
+replay that repeats a term shares one object for it. Only a line that fails
+to match is scanned again, term by term, to name the error and its column.
 """
 
 from __future__ import annotations
 
 import re
+from typing import NoReturn
 
 from .terms import _IRI_FORBIDDEN, IRI, BlankNode, Literal, Quad, Term, Triple
 from .turtle import _ECHAR, _SCHEME_RE, ParseError
@@ -24,9 +25,20 @@ _STRING = rf'"[^"\\\n]*(?:(?:\\[tbnrf"\'\\]|{_UCHAR})[^"\\\n]*)*"'
 # means a long string
 _LITERAL = rf"{_STRING}(?:@[a-zA-Z]+(?:-[a-zA-Z0-9]+)*|\^\^{_IRIREF}|(?![@^\"]))"
 
-_TERM = re.compile(rf"[ \t\r]*({_IRIREF}|{_BNODE}|{_LITERAL})")
-_DOT = re.compile(r"[ \t\r]*\.[ \t\r]*(?:#.*)?\Z")
-_EOL = re.compile(r"[ \t\r]*\Z")
+_WS = r"[ \t\r]*"
+_DOT_END = rf"{_WS}\.{_WS}(?:#.*)?\Z"
+_EOL_END = rf"{_WS}\Z"
+
+# one pattern per statement shape; the term scan below, which names the
+# error of a line these reject, accepts exactly the same lines
+_SPO = rf"{_WS}({_IRIREF}|{_BNODE}){_WS}({_IRIREF}){_WS}({_IRIREF}|{_BNODE}|{_LITERAL})"
+_TRIPLE_LINE = re.compile(_SPO + _DOT_END)
+_QUAD_LINE = re.compile(rf"{_SPO}{_WS}({_IRIREF}){_DOT_END}")
+_GRAPH_LINE = re.compile(rf"{_WS}({_IRIREF}){_EOL_END}")
+
+_TERM = re.compile(rf"{_WS}({_IRIREF}|{_BNODE}|{_LITERAL})")
+_DOT = re.compile(_DOT_END)
+_EOL = re.compile(_EOL_END)
 _ESCAPE = re.compile(rf"\\(?:u([0-9A-Fa-f]{{4}})|U([0-9A-Fa-f]{{8}})|(.))")
 _VALID_ESCAPE = re.compile(rf"\\[tbnrf\"'\\]|{_UCHAR}")
 _VALID_UCHAR = re.compile(_UCHAR)
@@ -63,18 +75,44 @@ class LineParser:
 
     def triple(self, line: str, lineno: int) -> Triple:
         """The triple stated on one N-Triples line."""
-        s, p, o = self._statement(line, lineno, 0, _TRIPLE, _DOT)
+        m = _TRIPLE_LINE.match(line)
+        if m is None:
+            self._reject(line, lineno, 0, _TRIPLE, _DOT)
+        s, p, o = self._terms_of(m, lineno)
         return (s, p, o)
 
     def quad(self, line: str, lineno: int, pos: int = 0) -> Quad:
         """The quad stated on one N-Quads line, read from column `pos` + 1."""
-        s, p, o, g = self._statement(line, lineno, pos, _QUAD, _DOT)
+        m = _QUAD_LINE.match(line, pos)
+        if m is None:
+            self._reject(line, lineno, pos, _QUAD, _DOT)
+        s, p, o, g = self._terms_of(m, lineno)
         return Quad(s, p, o, g.value)
 
     def graph_name(self, line: str, lineno: int, pos: int) -> str:
         """The graph IRI that makes up the rest of a line."""
-        (g,) = self._statement(line, lineno, pos, (_GRAPH,), _EOL)
+        m = _GRAPH_LINE.match(line, pos)
+        if m is None:
+            self._reject(line, lineno, pos, (_GRAPH,), _EOL)
+        (g,) = self._terms_of(m, lineno)
         return g.value
+
+    def _terms_of(self, m: re.Match, lineno: int) -> list[Term]:
+        """The terms a line pattern captured, each built once."""
+        terms: list[Term] = []
+        terms_cache = self._terms
+        for group, token in enumerate(m.groups(), 1):
+            term = terms_cache.get(token)
+            if term is None:
+                term = self._build(token, lineno, m.start(group) + 1)
+            terms.append(term)
+        return terms
+
+    def _reject(self, line: str, lineno: int, pos: int, slots, end) -> NoReturn:
+        """Raise the `ParseError` the term scan finds in a line that its
+        line pattern rejected."""
+        self._statement(line, lineno, pos, slots, end)
+        raise AssertionError(f"line {lineno} passed the term scan but not its line pattern: {line!r}")
 
     def _statement(self, line: str, lineno: int, pos: int, slots, end) -> list[Term]:
         terms: list[Term] = []

@@ -23,20 +23,20 @@ DEFAULT_PREFIXES = {
     "prov": "http://www.w3.org/ns/prov#",
 }
 
-_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t", "\b": "\\b", "\f": "\\f"}
+# the short escapes, and \uXXXX for every other C0 control character
+_ESCAPES = {chr(c): f"\\u{c:04X}" for c in range(0x20)} | {
+    "\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t", "\b": "\\b", "\f": "\\f"
+}
+_ESCAPED = re.compile(r'[\\"\x00-\x1f]')
 _LOCAL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*$")
 
 
 def _escape_string(s: str) -> str:
-    out = []
-    for c in s:
-        if c in _ESCAPES:
-            out.append(_ESCAPES[c])
-        elif ord(c) < 0x20:
-            out.append(f"\\u{ord(c):04X}")
-        else:
-            out.append(c)
-    return "".join(out)
+    return _ESCAPED.sub(_escape_one, s)
+
+
+def _escape_one(m: re.Match) -> str:
+    return _ESCAPES[m.group()]
 
 
 def format_term(term: Term) -> str:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Union
 
@@ -17,6 +18,7 @@ RDF_TYPE = RDF_NS + "type"
 RDF_LANGSTRING = RDF_NS + "langString"
 
 _IRI_FORBIDDEN = set(" \t\n\r\f\v<>\"{}|^`")
+_IRI_FORBIDDEN_RE = re.compile("[" + "".join(re.escape(c) for c in sorted(_IRI_FORBIDDEN)) + "]")
 
 
 @dataclass(frozen=True, slots=True)
@@ -24,7 +26,7 @@ class IRI:
     value: str
 
     def __post_init__(self) -> None:
-        if any(c in _IRI_FORBIDDEN for c in self.value):
+        if _IRI_FORBIDDEN_RE.search(self.value):
             raise ValueError(f"IRI contains forbidden character: {self.value!r}")
 
     def __str__(self) -> str:

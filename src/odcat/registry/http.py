@@ -98,6 +98,10 @@ def _dataset_item(item) -> bool:
     )
 
 
+def _not_utf8(exc: UnicodeDecodeError) -> Response:
+    return Response.error(400, "BadRequest", f"body is not UTF-8: {exc}")
+
+
 def _serialize_graph(triples, media: str) -> Response:
     if media == NTRIPLES:
         return Response.text(serialize_ntriples(triples), content_type=NTRIPLES)
@@ -112,6 +116,8 @@ def build_registry_router(registry: Registry, token: str | None = None) -> Route
             triples = _parse_body(req) if req.body.strip() else []
         except ParseError as exc:
             return Response.error(400, "ParseError", str(exc))
+        except UnicodeDecodeError as exc:
+            return _not_utf8(exc)
         result = registry.put_catalogue(req.params["cid"], triples)
         return Response.json(
             {"id": req.params["cid"], "result": result},
@@ -132,8 +138,12 @@ def build_registry_router(registry: Registry, token: str | None = None) -> Route
         catalogue_id = req.query.get("catalogue", "")
         if not catalogue_id:
             return Response.error(400, "BadRequest", "query parameter 'catalogue' is required")
+        try:
+            text = req.text()
+        except UnicodeDecodeError as exc:
+            return _not_utf8(exc)
         status, answer = _write_dataset(
-            registry, catalogue_id, req.params["originalId"], req.headers.get("content-type", TURTLE), req.text()
+            registry, catalogue_id, req.params["originalId"], req.headers.get("content-type", TURTLE), text
         )
         return Response.json(answer, status)
 

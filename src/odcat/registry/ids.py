@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 import re
 
-_COLLAPSE = re.compile(r"-+")
+_NOT_SLUG = re.compile(r"[^a-z0-9]+")
 
 
 class EmptyIdError(ValueError):
@@ -19,10 +19,9 @@ def content_hash(catalogue_id: str, original_id: str) -> str:
 
 
 def slugify(original_id: str) -> str:
-    """Lowercase, map anything outside [a-z0-9-] to '-', collapse runs."""
-    lowered = original_id.lower()
-    replaced = "".join(c if c.isascii() and (c.isalnum() or c == "-") else "-" for c in lowered)
-    return _COLLAPSE.sub("-", replaced).strip("-")
+    """Lowercase, map each run of characters outside [a-z0-9] to one '-',
+    strip leading and trailing '-'."""
+    return _NOT_SLUG.sub("-", original_id.lower()).strip("-")
 
 
 def normalize_id(

@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from odcat.rdf import (
     IRI,
@@ -14,6 +15,9 @@ from odcat.rdf import (
     serialize_ntriples,
     serialize_turtle,
 )
+from odcat.rdf import ntriples
+from odcat.rdf.serialize import _escape_string
+from odcat.rdf.terms import Quad
 
 from conftest import graphs
 
@@ -261,3 +265,193 @@ def test_roundtrip_turtle_isomorphic(g):
 def test_serialize_format_dispatch(g):
     assert serialize(g, "ntriples") == serialize_ntriples(g)
     assert serialize(g, "turtle") == serialize_turtle(g)
+
+
+# -- the line patterns agree with the term scan ------------------------------
+
+_GOOD_IRIS = ["<http://x/s>", "<http://x/caf\\u00E9>", "<http://x/\\U0001F600>", "<urn:x:a%20b>"]
+_GOOD_BNODES = ["_:b", "_:b1.x", "_:a-b"]
+_GOOD_LITERALS = [
+    '"x"',
+    '""',
+    '"x y"@en',
+    '"x"@EN-gb-1',
+    '"x"^^<http://x/t>',
+    '"tab\\t\\"q\\" \\\\ \\u00E9 \\U0001F600"',
+    '"a\tb # c"',
+]
+_GOOD_SEPARATORS = ["", " ", "\t", "\r", " \t\r "]
+_GOOD_ENDS = [".", " .", ". ", ".\t\r", ". # note", ".# note"]
+# the valid choices of each slot: subject, predicate, object, graph
+_SLOTS = [_GOOD_IRIS + _GOOD_BNODES, _GOOD_IRIS, _GOOD_IRIS + _GOOD_BNODES + _GOOD_LITERALS, _GOOD_IRIS]
+_NEAR_MISSES = [
+    "<http://x/a\\u0020b>",  # escapes of forbidden characters
+    "<http://x/\\u007B>",
+    "<http://x/\\u003E>",
+    "<http://x/\\q>",
+    "<http://x/a b>",
+    "<http://x/a\tb>",
+    "<http://x/a{b>",
+    "<http://x/open",
+    "<rel>",
+    "<>",
+    "_:b.",
+    "_:b..c",
+    "_:-b",
+    "_:",
+    "_:é",
+    '"x"@',
+    '"x"@1',
+    '"x"@en-',
+    '"x"^^<rel>',
+    '"x"^^<http://x/a\\u0020>',
+    '"x"^^',
+    '"x"^^xsd:int',
+    '"x"^',
+    '"\\q"',
+    '"\\u00"',
+    '"\\UFFFFFFFF"',
+    '"open',
+    '"""long"""',
+    '"x""y"',
+    '"x"@en"y"',
+    "a",
+    "x:y",
+    "1",
+    "<",
+    '"',
+    "_",
+    "#x",
+    ". x",
+    "..",
+    " . <http://x/o>",
+    ". _:b",
+]
+_BAD_SEPARATORS = ["\x0c", "\x0b", "\x00", "\u00a0", "\u3000", " \x0c "]
+_ALL_PARTS = sorted(
+    {p for slot in _SLOTS for p in slot} | set(_GOOD_SEPARATORS + _GOOD_ENDS + _NEAR_MISSES + _BAD_SEPARATORS)
+)
+_ANY_PART = st.sampled_from(_ALL_PARTS)
+_NOISE = st.text(alphabet='<>"_:.@^\\ \t\r#abxu0-9', max_size=40)
+
+
+@st.composite
+def _lines(draw, slots: int) -> str:
+    """A statement of `slots` terms: valid, or with one or two parts swapped
+    for a near miss or a part that belongs elsewhere, or noise."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(_NOISE)
+    parts = []
+    for choices in _SLOTS[:slots]:
+        parts += [draw(st.sampled_from(_GOOD_SEPARATORS)), draw(st.sampled_from(choices))]
+    parts += [draw(st.sampled_from(_GOOD_SEPARATORS)), draw(st.sampled_from(_GOOD_ENDS))]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 1, 1, 2]))):
+        i = draw(st.integers(0, len(parts) - 1))
+        near = _BAD_SEPARATORS if i % 2 == 0 and i < len(parts) - 1 else _NEAR_MISSES
+        parts[i] = draw(st.one_of(st.sampled_from(near), _ANY_PART))
+    return "".join(parts)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except ParseError as exc:
+        return ("ParseError", exc.args, exc.line, exc.column)
+
+
+def _check_line(shape: str, line: str, lineno: int = 7, pos: int = 0) -> None:
+    """The line pattern and the term scan, each in a fresh parser, read a
+    line alike: the same terms, or the same error at the same place."""
+    slots, end, read = {
+        "triple": (ntriples._TRIPLE, ntriples._DOT, lambda p: p.triple(line, lineno)),
+        "quad": (ntriples._QUAD, ntriples._DOT, lambda p: p.quad(line, lineno, pos)),
+        "graph": ((ntriples._GRAPH,), ntriples._EOL, lambda p: p.graph_name(line, lineno, pos)),
+    }[shape]
+
+    def scanned():
+        terms = ntriples.LineParser()._statement(line, lineno, pos, slots, end)
+        if shape == "quad":
+            s, p, o, g = terms
+            return Quad(s, p, o, g.value)
+        return tuple(terms) if shape == "triple" else terms[0].value
+
+    assert _outcome(lambda: read(ntriples.LineParser())) == _outcome(scanned), repr(line)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_lines(3), st.integers(1, 9))
+def test_a_triple_line_reads_as_the_term_scan_reads_it(line, lineno):
+    _check_line("triple", line, lineno)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_lines(4), st.integers(1, 9), st.sampled_from(["", "A ", "D ", "ignored "]))
+def test_a_quad_line_reads_as_the_term_scan_reads_it(line, lineno, prefix):
+    _check_line("quad", prefix + line, lineno, len(prefix))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(_GOOD_SEPARATORS + _BAD_SEPARATORS),
+    st.one_of(_ANY_PART, _NOISE),
+    st.sampled_from(["", " ", "\t\r", " .", " x"]),
+)
+def test_a_graph_line_reads_as_the_term_scan_reads_it(before, token, after):
+    _check_line("graph", "C " + before + token + after, 4, 2)
+
+
+def test_each_part_in_each_place_reads_as_the_term_scan_reads_it():
+    triple = ["", "<http://x/s>", " ", "<http://x/p>", " ", "_:o", " ", "."]
+    quad = triple[:6] + [" ", "<http://x/g>"] + triple[6:]
+    for shape, base, prefix in (("triple", triple, ""), ("quad", quad, "A ")):
+        for i in range(len(base)):
+            for part in _ALL_PARTS:
+                _check_line(shape, prefix + "".join(base[:i] + [part] + base[i + 1 :]), pos=len(prefix))
+
+
+# -- term kernels: literal escapes and the IRI character check ---------------
+
+
+def _escape_reference(s: str) -> str:
+    """The per-character definition `_escape_string` must match."""
+    short = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t", "\b": "\\b", "\f": "\\f"}
+    return "".join(short[c] if c in short else f"\\u{ord(c):04X}" if ord(c) < 0x20 else c for c in s)
+
+
+_KERNEL_CHARS = [chr(c) for c in range(0x80)] + ["\u2028", "\U0001F600"]
+
+
+@pytest.mark.parametrize("c", _KERNEL_CHARS, ids=[f"U+{ord(c):04X}" for c in _KERNEL_CHARS])
+def test_escape_string_of_each_character_and_its_round_trip(c):
+    assert _escape_string(c) == _escape_reference(c)
+    assert _escape_string(f"a{c}b{c}") == "a" + _escape_reference(c) + "b" + _escape_reference(c)
+    s = IRI("http://x/s")
+    triples = [(s, IRI("http://x/p"), Literal(f"a{c}b")), (s, IRI("http://x/q"), Literal(c, lang="en"))]
+    assert parse_ntriples(serialize_ntriples(triples)) == triples
+    assert sorted(parse_turtle(serialize_turtle(triples)), key=str) == sorted(triples, key=str)
+
+
+def test_escape_string_exact_forms():
+    assert _escape_string('\\"\n\r\t\b\f') == '\\\\\\"\\n\\r\\t\\b\\f'
+    assert _escape_string("\x00\x01\x0b\x1b\x1f") == "\\u0000\\u0001\\u000B\\u001B\\u001F"
+    assert _escape_string("\x7f é \u2028 \U0001F600 ") == "\x7f é \u2028 \U0001F600 "
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=30))
+def test_escape_string_matches_the_per_character_definition(s):
+    assert _escape_string(s) == _escape_reference(s)
+
+
+_FORBIDDEN_IN_IRI = " \t\n\r\f\v<>\"{}|^`"
+
+
+@pytest.mark.parametrize("c", _KERNEL_CHARS, ids=[f"U+{ord(c):04X}" for c in _KERNEL_CHARS])
+def test_iri_refuses_exactly_its_forbidden_characters(c):
+    value = f"http://x/a{c}b"
+    if c in _FORBIDDEN_IN_IRI:
+        with pytest.raises(ValueError) as err:
+            IRI(value)
+        assert str(err.value) == f"IRI contains forbidden character: {value!r}"
+    else:
+        assert IRI(value).value == value

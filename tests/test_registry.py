@@ -32,6 +32,7 @@ from odcat.registry import (
     negotiate,
     normalize_id,
 )
+from odcat.registry.ids import slugify
 from odcat.search import SearchService
 from odcat.translation import EchoProvider, translate_dataset
 
@@ -86,6 +87,40 @@ def test_normalize_collision_hash_suffix():
 def test_normalize_all_symbols_falls_back_to_hash():
     got = normalize_id("!!!", "cat1")
     assert got == hashlib.sha256(b"cat1\n!!!").hexdigest()[:8]
+
+
+def _slug_reference(original_id: str) -> str:
+    """The per-character definition `slugify` must match."""
+    kept = "".join(c if c.isascii() and (c.isalnum() or c == "-") else "-" for c in original_id.lower())
+    return re.sub("-+", "-", kept).strip("-")
+
+
+@pytest.mark.parametrize(
+    "original, slug",
+    [
+        ("\u212a-Temp", "k-temp"),  # the Kelvin sign lowercases to an ASCII 'k'
+        ("\u0130stanbul", "i-stanbul"),  # 'İ' lowercases to 'i' and a combining dot
+        ("Data---Set", "data-set"),
+        ("a - _ . b", "a-b"),
+        ("--Lead and trail!--", "lead-and-trail"),
+        ("__x__", "x"),
+        ("Über_Straße 2024", "ber-stra-e-2024"),
+        ("ABC123xyz", "abc123xyz"),
+        ("!!!", ""),
+        ("---", ""),
+        ("日本", ""),
+    ],
+)
+def test_slugify_table(original, slug):
+    assert slugify(original) == slug == _slug_reference(original)
+    if not slug:
+        assert normalize_id(original, "cat1") == hashlib.sha256(f"cat1\n{original}".encode()).hexdigest()[:8]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(max_size=40))
+def test_slugify_matches_the_per_character_definition(original):
+    assert slugify(original) == _slug_reference(original)
 
 
 @settings(max_examples=200, deadline=None)
@@ -586,6 +621,21 @@ def test_http_put_with_malformed_unicode_escape_is_a_400(registry):
         assert resp.status == 400, resp.body
         assert json.loads(resp.body)["error"] == "ParseError"
     assert registry.dataset_ids() == []
+
+
+@pytest.mark.parametrize("content_type", ["text/turtle", "application/n-triples"])
+def test_http_put_of_a_body_that_is_not_utf8_is_a_400_and_writes_nothing(registry, content_type):
+    router = build_registry_router(registry)
+    quads = len(registry.store)
+    headers = {"content-type": content_type}
+    for path, query in (("/datasets/d1", {"catalogue": "cat1"}), ("/catalogues/cat9", {})):
+        resp = router.dispatch("PUT", path, query, headers, b"\xff\xfe bad")
+        assert resp.status == 400, resp.body
+        assert json.loads(resp.body)["error"] == "BadRequest"
+        assert "UTF-8" in json.loads(resp.body)["message"]
+    assert registry.dataset_ids() == []
+    assert not registry.has_catalogue("cat9")
+    assert len(registry.store) == quads
 
 
 def test_http_bulk_write_takes_each_item_alone_and_answers_in_order():
