@@ -1,8 +1,18 @@
-"""Minimal threaded HTTP server with path-pattern routing, and its client.
+"""HTTP/1.1 for the suite's services: a threaded server with path-pattern
+routing, and the keep-alive client the services use to call each other.
 
 Each suite service owns one Router bound to its own listen address. Handlers
 receive a Request and return a Response; JSON helpers cover the common case.
-HttpClient is the keep-alive client the services use to call each other.
+
+HttpService gives each client connection a daemon thread that reads its
+requests in turn: the request line and each header line with a bounded
+readline (64 KiB each, under 100 header lines), then a body of exactly
+Content-Length bytes. The status line, the headers and the body of each
+response leave in one write. A request that cannot be framed or served gets
+the suite's JSON error with its status (400, 414, 431, 501 or 505), and its
+connection closes. HTTP/1.1 connections stay open unless the client sends
+`Connection: close`; HTTP/1.0 ones close unless it sends
+`Connection: keep-alive`.
 """
 
 from __future__ import annotations
@@ -13,11 +23,15 @@ import logging
 import re
 import select
 import socket
+import socketserver
 import threading
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from email.utils import formatdate
+from http import HTTPStatus
 from typing import Callable
 from urllib.parse import parse_qs, unquote, urlsplit
+
+from . import __version__
 
 logger = logging.getLogger(__name__)
 
@@ -120,52 +134,134 @@ class Router:
         return Response.error(404, "NotFound", f"no route for {path}")
 
 
-class _Server(ThreadingHTTPServer):
+_MAX_LINE = 65536  # bytes in the request line or in one header line
+_MAX_HEADER_LINES = 100  # counting the blank line that ends them, as http.client counts
+_METHODS = frozenset({"GET", "POST", "PUT", "DELETE", "HEAD"})
+_REASONS = {status.value: status.phrase for status in HTTPStatus}
+_SERVER = f"odcat/{__version__}"
+
+
+class _Connection(socketserver.StreamRequestHandler):
+    """One client connection: its requests are read and answered in turn
+    until the client or the rules of its HTTP version close it."""
+
+    # A response leaves in one write, but a 100 Continue or the previous
+    # response of a pipelined pair may still be unacknowledged; with Nagle
+    # on, the response would wait for the peer's delayed ACK.
+    disable_nagle_algorithm = True
+
+    def handle(self):
+        while self._serve_one():
+            pass
+
+    def _serve_one(self) -> bool:
+        """Reads one request and answers it; False when the connection is to close."""
+        rfile = self.rfile
+        line = rfile.readline(_MAX_LINE + 1)
+        if len(line) > _MAX_LINE:
+            return self._refuse("", 414, "URITooLong", "request line too long")
+        words = str(line, "iso-8859-1").rstrip("\r\n").split()
+        if not words:
+            return False  # the client closed, or sent a blank line
+        version, close = "HTTP/0.9", True
+        if len(words) >= 3:
+            try:
+                major, minor = _version_number(words[-1])
+            except ValueError:
+                return self._refuse("", 400, "BadRequest", f"bad request version {words[-1]!r}")
+            if major >= 2:
+                return self._refuse("", 505, "HTTPVersionNotSupported", f"HTTP/{major}.{minor} not supported")
+            version, close = words[-1], (major, minor) < (1, 1)
+        if not 2 <= len(words) <= 3 or (len(words) == 2 and words[0] != "GET"):
+            return self._refuse(version, 400, "BadRequest", f"bad request line {' '.join(words)!r}")
+        method, target = words[0], words[1]
+        if target.startswith("//"):
+            # a client would read //host/path as an authority (gh-87389)
+            target = "/" + target.lstrip("/")
+
+        headers = {}
+        for _ in range(_MAX_HEADER_LINES):
+            line = rfile.readline(_MAX_LINE + 1)
+            if len(line) > _MAX_LINE:
+                return self._refuse(version, 431, "RequestHeaderFieldsTooLarge", "header line too long")
+            if line in (b"\r\n", b"\n", b""):
+                break
+            name, colon, value = str(line, "iso-8859-1").partition(":")
+            if colon:
+                headers[name.lower()] = value.strip()
+        else:
+            return self._refuse(version, 431, "RequestHeaderFieldsTooLarge", "too many headers")
+
+        connection = headers.get("connection", "").lower()
+        if connection in ("close", "keep-alive"):
+            close = connection == "close"
+        if headers.get("expect", "").lower() == "100-continue" and version >= "HTTP/1.1":
+            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+        if method not in _METHODS:
+            return self._refuse(version, 501, "NotImplemented", f"unsupported method {method!r}")
+
+        length = headers.get("content-length") or "0"
+        if not (length.isascii() and length.isdigit()):
+            # the body cannot be framed, so the connection cannot be reused
+            return self._refuse(version, 400, "BadRequest", f"bad Content-Length {length!r}")
+        parts = urlsplit(target)
+        query = {k: v[0] for k, v in parse_qs(parts.query).items()}
+        body = rfile.read(int(length))
+        resp = self.server.router.dispatch(method, parts.path, query, headers, body)
+        return self._send(resp, method, version, close)
+
+    def _refuse(self, version: str, status: int, code: str, message: str) -> bool:
+        """Answers a request that cannot be framed or served, and closes."""
+        logger.debug("%s: %d %s", self.server.router.name, status, message)
+        resp = Response.error(status, code, message)
+        resp.headers["Connection"] = "close"
+        return self._send(resp, "", version, close=True)
+
+    def _send(self, resp: Response, method: str, version: str, close: bool) -> bool:
+        """Writes the status line, the headers and the body in one write; an
+        HTTP/0.9 request gets the body alone. True if the connection stays open."""
+        body = b"" if method == "HEAD" else resp.body
+        if version == "HTTP/0.9":
+            self.wfile.write(body)
+            return not close
+        head = (
+            f"HTTP/1.1 {resp.status} {_REASONS.get(resp.status, '')}\r\n"
+            f"Server: {_SERVER}\r\nDate: {formatdate(usegmt=True)}\r\n"
+            f"Content-Type: {resp.content_type}\r\nContent-Length: {len(resp.body)}\r\n"
+        )
+        for name, value in resp.headers.items():
+            head += f"{name}: {value}\r\n"
+        self.wfile.write((head + "\r\n").encode("latin-1") + body)
+        return not close
+
+
+def _version_number(version: str) -> tuple[int, int]:
+    """(major, minor) of an `HTTP/x.y` version, checked as `http.server` checks it."""
+    if not version.startswith("HTTP/"):
+        raise ValueError(version)
+    numbers = version[5:].split(".")
+    if len(numbers) != 2 or not all(n.isdigit() and len(n) <= 10 for n in numbers):
+        raise ValueError(version)
+    return int(numbers[0]), int(numbers[1])
+
+
+class _Server(socketserver.ThreadingTCPServer):
+    allow_reuse_address = True
     daemon_threads = True
     request_queue_size = socket.SOMAXCONN  # the default backlog of 5 resets bursts of new connections
 
+    def __init__(self, address: tuple[str, int], router: Router):
+        self.router = router
+        super().__init__(address, _Connection)
+
 
 class HttpService:
-    """One Router bound to one listener, served by a daemon thread pool."""
+    """One Router bound to one listener, with a daemon thread per connection."""
 
     def __init__(self, router: Router, host: str = "127.0.0.1", port: int = 0):
         self.router = router
-        outer = self
-
-        class _Handler(BaseHTTPRequestHandler):
-            protocol_version = "HTTP/1.1"
-            # Headers and body go out in separate writes; with Nagle on, the
-            # body of a keep-alive response waits for the peer's delayed ACK.
-            disable_nagle_algorithm = True
-
-            def log_message(self, fmt, *args):  # quiet by default
-                logger.debug("%s %s", outer.router.name, fmt % args)
-
-            def _serve(self):
-                length = (self.headers.get("Content-Length") or "0").strip()
-                if length.isascii() and length.isdigit():
-                    parts = urlsplit(self.path)
-                    query = {k: v[0] for k, v in parse_qs(parts.query).items()}
-                    body = self.rfile.read(int(length))
-                    headers = {k.lower(): v for k, v in self.headers.items()}
-                    resp = outer.router.dispatch(self.command, parts.path, query, headers, body)
-                else:
-                    resp = Response.error(400, "BadRequest", f"bad Content-Length {length!r}")
-                    # the body cannot be framed, so the connection cannot be reused
-                    resp.headers["Connection"] = "close"
-                self.send_response(resp.status)
-                self.send_header("Content-Type", resp.content_type)
-                self.send_header("Content-Length", str(len(resp.body)))
-                for k, v in resp.headers.items():
-                    self.send_header(k, v)
-                self.end_headers()
-                if resp.body and self.command != "HEAD":
-                    self.wfile.write(resp.body)
-
-            do_GET = do_POST = do_PUT = do_DELETE = do_HEAD = _serve
-
         try:
-            self.server = _Server((host, port), _Handler)
+            self.server = _Server((host, port), router)
         except OSError as exc:
             raise AddressInUseError(f"cannot bind {host}:{port}: {exc}") from exc
         self.host = host

@@ -1,4 +1,5 @@
 import ast
+import re
 import socket
 import statistics
 import threading
@@ -109,6 +110,142 @@ def test_unframeable_content_length_is_400(length):
         assert b"connection: close" in reply.lower()
     finally:
         service.stop()
+
+
+@pytest.fixture(scope="module")
+def probe():
+    router = Router("probe")
+    router.route("POST", "/pipe", lambda req: Response.json({"received": len(req.body)}, 202))
+    router.route("GET", "/probe", lambda req: Response.text(req.headers.get("x-probe", "")))
+    service = HttpService(router).start()
+    yield service
+    service.stop()
+
+
+def connect(service: HttpService) -> socket.socket:
+    return socket.create_connection((service.host, service.port), timeout=5)
+
+
+def read_response(rfile) -> tuple[int, bytes]:
+    """(status, body) of the next response on a connection."""
+    status_line = rfile.readline()
+    assert status_line.startswith(b"HTTP/1.1 "), status_line
+    headers = {}
+    while (line := rfile.readline()) not in (b"\r\n", b""):
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.lower()] = value.strip()
+    return int(status_line.split()[1]), rfile.read(int(headers["content-length"]))
+
+
+def read_to_close(sock: socket.socket) -> bytes:
+    """All the server sends until it closes; a timeout means it kept the connection open."""
+    return b"".join(iter(lambda: sock.recv(65536), b""))
+
+
+def refusal_status(reply: bytes) -> int:
+    """The status of a refusal: from its status line or, where a server answers
+    a request line whose version it refused with an error page alone (as
+    http.server does), from that page."""
+    match = re.match(rb"HTTP/1\.1 (\d{3}) ", reply) or re.search(rb"Error code: (\d{3})", reply)
+    assert match, reply[:200]
+    return int(match.group(1))
+
+
+HEALTH = b'{"status": "ok", "service": "probe"}'
+
+
+def test_keep_alive_connection_answers_requests_in_order(probe):
+    with connect(probe) as sock, sock.makefile("rb") as rfile:
+        for n in range(3):
+            sock.sendall(f"POST /pipe HTTP/1.1\r\nHost: x\r\nContent-Length: {n}\r\n\r\n".encode() + b"x" * n)
+            assert read_response(rfile) == (202, b'{"received": %d}' % n)
+        # two requests in one send are answered in order
+        sock.sendall(
+            b"POST /pipe HTTP/1.1\r\nHost: x\r\nContent-Length: 5\r\n\r\nxxxxx"
+            b"GET /health HTTP/1.1\r\nHost: x\r\n\r\n"
+        )
+        assert read_response(rfile) == (202, b'{"received": 5}')
+        assert read_response(rfile) == (200, HEALTH)
+        sock.sendall(b"GET /health HTTP/1.1\r\nHost: x\r\n\r\n")
+        assert read_response(rfile) == (200, HEALTH)
+
+
+@pytest.mark.parametrize(
+    "request_head, closes",
+    [
+        (b"GET /health HTTP/1.0\r\n\r\n", True),
+        (b"GET /health HTTP/1.0\r\nConnection: keep-alive\r\n\r\n", False),
+        (b"GET /health HTTP/1.1\r\nConnection: close\r\n\r\n", True),
+        (b"GET /health HTTP/1.1\r\nConnection: Keep-Alive\r\n\r\n", False),
+    ],
+)
+def test_connection_header_and_version_decide_whether_the_connection_stays_open(probe, request_head, closes):
+    with connect(probe) as sock, sock.makefile("rb") as rfile:
+        sock.sendall(request_head)
+        assert read_response(rfile) == (200, HEALTH)
+        if closes:
+            assert rfile.read() == b""
+        else:
+            sock.sendall(b"GET /health HTTP/1.1\r\n\r\n")
+            assert read_response(rfile) == (200, HEALTH)
+
+
+def test_head_gets_the_get_length_and_no_body(probe):
+    with connect(probe) as sock, sock.makefile("rb") as rfile:
+        sock.sendall(b"HEAD /health HTTP/1.1\r\n\r\nGET /health HTTP/1.1\r\n\r\n")
+        status_line, head = rfile.readline(), b""
+        while (line := rfile.readline()) not in (b"\r\n", b""):
+            head += line
+        assert status_line.startswith(b"HTTP/1.1 200 ")
+        assert f"Content-Length: {len(HEALTH)}\r\n".encode() in head
+        # the GET's response follows the HEAD's headers directly
+        assert read_response(rfile) == (200, HEALTH)
+
+
+@pytest.mark.parametrize(
+    "request_head, status",
+    [
+        (b"GET /" + b"a" * 65536 + b" HTTP/1.1\r\n\r\n", 414),
+        (b"GET /health HTTP/1.1\r\nX-Long: " + b"a" * 65536 + b"\r\n\r\n", 431),
+        (b"GET /health HTTP/1.1\r\n" + b"X-Many: 1\r\n" * 101 + b"\r\n", 431),
+        (b"GET /health HTTP/2.0\r\n\r\n", 505),
+        (b"GET /health extra HTTP/1.1\r\n\r\n", 400),
+        (b"PATCH /health HTTP/1.1\r\n\r\n", 501),
+    ],
+    ids=["long-request-line", "long-header-line", "101-headers", "http-2", "malformed-request-line", "patch"],
+)
+def test_refused_request_gets_its_status_and_the_connection_closes(probe, request_head, status):
+    with connect(probe) as sock:
+        sock.sendall(request_head)
+        # read_to_close returns only once the server has closed
+        assert refusal_status(read_to_close(sock)) == status
+
+
+def test_expect_100_continue_is_answered_before_the_body(probe):
+    with connect(probe) as sock, sock.makefile("rb") as rfile:
+        sock.sendall(b"POST /pipe HTTP/1.1\r\nContent-Length: 3\r\nExpect: 100-continue\r\n\r\n")
+        assert rfile.readline() == b"HTTP/1.1 100 Continue\r\n"
+        assert rfile.readline() == b"\r\n"
+        sock.sendall(b"abc")
+        assert read_response(rfile) == (202, b'{"received": 3}')
+
+
+def test_leading_double_slash_is_routed_as_one_slash(probe):
+    with connect(probe) as sock, sock.makefile("rb") as rfile:
+        sock.sendall(b"GET //health HTTP/1.1\r\n\r\n")
+        assert read_response(rfile) == (200, HEALTH)
+
+
+def test_empty_request_line_closes_the_connection(probe):
+    with connect(probe) as sock:
+        sock.sendall(b"\r\n")
+        assert read_to_close(sock) == b""
+
+
+def test_repeated_header_keeps_its_last_value(probe):
+    with connect(probe) as sock, sock.makefile("rb") as rfile:
+        sock.sendall(b"GET /probe HTTP/1.1\r\nX-Probe: first\r\nx-probe: last\r\n\r\n")
+        assert read_response(rfile) == (200, b"last")
 
 
 def test_only_outside_url_callers_import_requests():

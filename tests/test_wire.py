@@ -281,23 +281,27 @@ def test_wire_keeps_the_turtle_order():
 # -- scaling ----------------------------------------------------------------
 
 
-def _ms_per_dataset(large, small) -> tuple[float, float]:
-    """Min of 5 runs each of one call of `large` (2,000 datasets) and eight
-    calls of `small` (250 datasets), per dataset handled.
+def _ms_per_dataset(large, small, calls: int = 1) -> tuple[float, float]:
+    """Min of 5 samples each of `calls` calls of `large` (2,000 datasets) and
+    8 × `calls` calls of `small` (250 datasets), per dataset handled.
 
-    The large and small runs alternate, so both sample the same spells of
+    The large and small samples alternate, so both sample the same spells of
     CPU speed on a shared machine, and each starts after a full collection,
-    so garbage left by earlier tests cannot put one into a single side.
+    so garbage left by earlier tests cannot put one into a single side. A
+    sample must last well beyond the bursts in which another thread holds
+    the interpreter lock: beside a thread that computes 30 ms and sleeps
+    5 ms, ten splits with samples of about 17 ms read large/small ratios up
+    to 1.54, and ten with samples of about 70 ms up to 1.13 (2 CPUs).
     """
     best = {large: float("inf"), small: float("inf")}
     for _ in range(5):
-        for work, repeats in ((large, 1), (small, 8)):
+        for work, repeats in ((large, calls), (small, 8 * calls)):
             gc.collect()
             t0 = time.perf_counter()
             for _ in range(repeats):
                 work()
             best[work] = min(best[work], time.perf_counter() - t0)
-    return best[large] / 2000 * 1000, best[small] / 2000 * 1000
+    return best[large] / calls / 2000 * 1000, best[small] / calls / 2000 * 1000
 
 
 def _dump(n: int) -> str:
@@ -311,9 +315,10 @@ def _split(graph):
 
 
 def test_dump_split_is_linear():
-    # each run handles 2,000 datasets: one dump of 2,000 or eight of 250
+    # each sample handles 8,000 datasets, about 70 ms: four dumps of 2,000
+    # or thirty-two of 250
     small, large = (parse_turtle(_dump(n), base_iri="http://portal.test/") for n in (250, 2000))
-    large_ms, small_ms = _ms_per_dataset(lambda: _split(large), lambda: _split(small))
+    large_ms, small_ms = _ms_per_dataset(lambda: _split(large), lambda: _split(small), calls=4)
     assert large_ms / small_ms < 1.5
 
 
