@@ -9,9 +9,9 @@ the stored one; translation never reads them as originals.
 from __future__ import annotations
 
 from . import ns
-from .rdf import Literal, Triple
+from .rdf import IRI, Literal, Triple
 
-_STATUS_PREDICATES = frozenset((ns.ODN_TRANSLATION_STARTED, ns.ODN_TRANSLATION_COMPLETED))
+STATUS_PREDICATES = frozenset((IRI(ns.ODN_TRANSLATION_STARTED), IRI(ns.ODN_TRANSLATION_COMPLETED)))
 
 
 def is_machine_tag(lang: str | None) -> bool:
@@ -20,4 +20,4 @@ def is_machine_tag(lang: str | None) -> bool:
 
 def is_enrichment(triple: Triple) -> bool:
     _, p, o = triple
-    return p.value in _STATUS_PREDICATES or (isinstance(o, Literal) and is_machine_tag(o.lang))
+    return p in STATUS_PREDICATES or (isinstance(o, Literal) and is_machine_tag(o.lang))

@@ -12,19 +12,22 @@ import requests
 
 from .. import ns
 from ..rdf import (  # noqa: F401 - bench/tracing.py times serialize_turtle here by name
-    BlankNode,
     IRI,
+    BlankNode,
     Literal,
     Term,
     Triple,
     parse_ntriples,
     parse_turtle,
+    plain_text,
     serialize_turtle,
     serialize_wire,
 )
 from .records import WIRE_TYPE, SourceRecord
 
 logger = logging.getLogger(__name__)
+
+_DISTRIBUTION = IRI(ns.DCAT_DISTRIBUTION)
 
 
 class FetchError(RuntimeError):
@@ -70,7 +73,7 @@ def bounded_description(by_subject: dict[Term, list[Triple]], subject: Term) -> 
         for t in by_subject.get(queue.popleft(), ()):
             out.append(t)
             obj = t[2]
-            if isinstance(obj, BlankNode) or t[1].value == ns.DCAT_DISTRIBUTION:
+            if isinstance(obj, BlankNode) or t[1] == _DISTRIBUTION:
                 if obj not in seen_nodes and not isinstance(obj, Literal):
                     seen_nodes.add(obj)
                     queue.append(obj)
@@ -95,13 +98,7 @@ def import_rdf_dump(
     else:
         graph = parse_turtle(text, base_iri=url)
 
-    subjects = list(
-        dict.fromkeys(
-            s
-            for s, p, o in graph
-            if p.value == ns.RDF_TYPE and isinstance(o, IRI) and o.value == ns.DCAT_DATASET
-        )
-    )
+    subjects = ns.dataset_subjects(graph)
     by_subject = subject_map(graph)
     records: list[SourceRecord] = []
     ids: list[str] = []
@@ -115,9 +112,7 @@ def import_rdf_dump(
             for s, p, o in description
             if s == subject and p.value == ns.DCT_IDENTIFIER and isinstance(o, Literal)
         ]
-        source_id = identifiers[0] if identifiers else (
-            subject.value if isinstance(subject, IRI) else str(subject)
-        )
+        source_id = identifiers[0] if identifiers else plain_text(subject)
         if source_id in seen:
             warnings += 1
             logger.warning("duplicate identifier %r in dump; keeping the first record", source_id)

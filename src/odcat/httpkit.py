@@ -22,9 +22,11 @@ import json
 import logging
 import re
 import select
+import selectors
 import socket
 import socketserver
 import threading
+import weakref
 from dataclasses import dataclass, field
 from email.utils import formatdate
 from http import HTTPStatus
@@ -253,6 +255,28 @@ class _Server(socketserver.ThreadingTCPServer):
     def __init__(self, address: tuple[str, int], router: Router):
         self.router = router
         super().__init__(address, _Connection)
+        # `wake` writes to one end to end `serve_forever`'s wait
+        self._wakeup_r, self._wakeup_w = socket.socketpair()
+
+    def serve_forever(self, poll_interval: float | None = None) -> None:
+        """Accepts connections until `wake`. The wait has no timeout: an idle
+        server never wakes up, and a stop does not wait out a poll interval."""
+        with selectors.DefaultSelector() as selector:
+            selector.register(self, selectors.EVENT_READ)
+            selector.register(self._wakeup_r, selectors.EVENT_READ)
+            while True:
+                ready = selector.select()
+                if any(key.fileobj is self._wakeup_r for key, _ in ready):
+                    return
+                self._handle_request_noblock()
+
+    def wake(self) -> None:
+        self._wakeup_w.send(b"\0")
+
+    def server_close(self) -> None:
+        super().server_close()
+        self._wakeup_r.close()
+        self._wakeup_w.close()
 
 
 class HttpService:
@@ -278,7 +302,10 @@ class HttpService:
         return self
 
     def stop(self) -> None:
-        self.server.shutdown()
+        if self._thread is not None:
+            self.server.wake()
+            self._thread.join()
+            self._thread = None
         self.server.server_close()
 
 
@@ -320,7 +347,9 @@ class HttpClient:
 
     def __init__(self, timeout: float = 30.0):
         self.timeout = timeout
-        self._local = threading.local()
+        # each thread's connections by host:port; a thread's entry goes with the thread
+        self._conns: weakref.WeakKeyDictionary[threading.Thread, dict] = weakref.WeakKeyDictionary()
+        self._conns_lock = threading.Lock()
 
     def request(
         self, method: str, url: str, body: bytes = b"", headers: dict[str, str] | None = None
@@ -329,7 +358,11 @@ class HttpClient:
         if parts.scheme != "http" or not parts.hostname:
             raise ValueError(f"HttpClient speaks plain http only, got {url!r}")
         target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
-        conns = self._local.__dict__.setdefault("conns", {})
+        thread = threading.current_thread()
+        conns = self._conns.get(thread)
+        if conns is None:
+            with self._conns_lock:
+                conns = self._conns.setdefault(thread, {})
         conn = conns.get(parts.netloc)
         if conn is not None and _dropped(conn):
             conn.close()
@@ -344,12 +377,23 @@ class HttpClient:
             data = resp.read()
         except (OSError, http.client.HTTPException) as exc:
             conn.close()
-            del conns[parts.netloc]
+            conns.pop(parts.netloc, None)  # `close` may have taken it already
             raise ClientError(f"{method} {url}: {exc}") from exc
         if resp.will_close:
             conn.close()
-            del conns[parts.netloc]
+            conns.pop(parts.netloc, None)
         return ClientResponse(resp.status, data)
+
+    def close(self) -> None:
+        """Closes the kept-alive connections of every thread, not only the
+        caller's. A later request opens a new one."""
+        with self._conns_lock:
+            pools = list(self._conns.values())
+        for conns in pools:
+            for netloc in list(conns):
+                conn = conns.pop(netloc, None)
+                if conn is not None:
+                    conn.close()
 
 
 def _dropped(conn: http.client.HTTPConnection) -> bool:

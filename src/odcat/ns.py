@@ -1,5 +1,7 @@
 """Common vocabulary IRIs used across the suite."""
 
+from .rdf import IRI, Term, Triple
+
 RDF = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
 RDFS = "http://www.w3.org/2000/01/rdf-schema#"
 XSD = "http://www.w3.org/2001/XMLSchema#"
@@ -53,3 +55,12 @@ PROV_GENERATED_AT = PROV + "generatedAtTime"
 
 ODN_TRANSLATION_STARTED = ODN + "translationStarted"
 ODN_TRANSLATION_COMPLETED = ODN + "translationCompleted"
+
+
+_TYPE = IRI(RDF_TYPE)
+_DATASET = IRI(DCAT_DATASET)
+
+
+def dataset_subjects(graph: list[Triple]) -> list[Term]:
+    """The `dcat:Dataset` subjects of a graph, each once, in document order."""
+    return list(dict.fromkeys(s for s, p, o in graph if p == _TYPE and o == _DATASET))

@@ -105,6 +105,7 @@ class StatusReporter:
 
     def stop(self) -> None:
         self.queue.close()
+        self._client.close()
 
 
 @dataclass
@@ -222,3 +223,4 @@ class PipeService:
             self._http.stop()
         self.queue.close()
         self.reporter.stop()
+        self.client.close()

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
 from .. import ns
-from ..rdf import IRI, Literal, Term, Triple
+from ..rdf import IRI, Literal, Term, Triple, plain_text
 from ..vocab import Vocabulary
 from .shapes import ConstraintViolation
 from .urlcheck import UrlCheckResult
@@ -92,18 +92,16 @@ def annotate(
 ) -> QualityReport:
     """Score one dataset graph from validation, URL-check, and graph facts."""
     by_sp: dict[tuple[Term, str], list[Term]] = {}
-    dataset = None
     for s, p, o in graph:
         by_sp.setdefault((s, p.value), []).append(o)
-        if p.value == ns.RDF_TYPE and isinstance(o, IRI) and o.value == ns.DCAT_DATASET:
-            dataset = dataset or s
+    dataset = next(iter(ns.dataset_subjects(graph)), None)
 
     def objs(node, pred):
         if node is None:
             return []
         return by_sp.get((node, pred), [])
 
-    dataset_iri = dataset.value if isinstance(dataset, IRI) else (str(dataset) if dataset else "")
+    dataset_iri = plain_text(dataset) if dataset else ""
     now = datetime.now(timezone.utc).isoformat().replace("+00:00", "Z")
     measurements: list[QualityMeasurement] = []
 
@@ -125,9 +123,9 @@ def annotate(
     distributions = list(dict.fromkeys(objs(dataset, ns.DCAT_DISTRIBUTION)))
     reachable = 0
     for dist in distributions:
-        result = url_results.get(str(dist))
+        result = url_results.get(plain_text(dist))
         ok = bool(result and result.reachable)
-        measure("accessUrlReachable", ok, str(dist))
+        measure("accessUrlReachable", ok, plain_text(dist))
         reachable += ok
     accessibility = 100.0 * reachable / len(distributions) if distributions else 0.0
 
@@ -140,9 +138,9 @@ def annotate(
         present = bool(labels)
         machine = present and bool(labels & machine_readable)
         open_format = present and bool(labels & non_proprietary)
-        measure("formatAvailability", present, str(dist))
-        measure("formatMachineReadable", machine, str(dist))
-        measure("formatNonProprietary", open_format, str(dist))
+        measure("formatAvailability", present, plain_text(dist))
+        measure("formatMachineReadable", machine, plain_text(dist))
+        measure("formatNonProprietary", open_format, plain_text(dist))
         per_dist_scores.append(
             iw["format_present"] * present + iw["machine_readable"] * machine + iw["non_proprietary"] * open_format
         )

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from .. import ns
 from ..httpkit import Request, Response, Router
+from ..rdf import Literal
 from ..registry.core import Event, Registry
+from ..search.flatten import lang_map
 from ..vocab import Vocabulary, load_format_lists, load_vocabularies
 from ..workqueue import WorkQueue
 from .reports import aggregate_catalogue, render, report_to_triples
@@ -18,11 +21,8 @@ class UnknownDatasetError(KeyError):
 
 
 def _lang_map(graph, dataset, predicate) -> dict[str, str]:
-    from ..search.flatten import lang_map as group
-    from ..rdf import Literal
-
     literals = [o for s, p, o in graph if s == dataset and p.value == predicate and isinstance(o, Literal)]
-    return group(literals)
+    return lang_map(literals)
 
 
 def _values(report: QualityReport) -> list[tuple]:
@@ -122,14 +122,7 @@ class QualityService:
         self.registry.put_metrics(report.dataset_id, report_to_triples(report, metrics_iri))
 
     def _index_similarity(self, dataset_id: str, graph) -> None:
-        from ..rdf import IRI
-        from .. import ns
-
-        dataset = None
-        for s, p, o in graph:
-            if p.value == ns.RDF_TYPE and isinstance(o, IRI) and o.value == ns.DCAT_DATASET:
-                dataset = s
-                break
+        dataset = next(iter(ns.dataset_subjects(graph)), None)
         text = shingle_text(
             _lang_map(graph, dataset, ns.DCT_TITLE),
             _lang_map(graph, dataset, ns.DCT_DESCRIPTION),

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .. import ns
-from ..rdf import IRI, BlankNode, Literal, Term, Triple
+from ..rdf import IRI, Literal, Term, Triple, plain_text
 
 CONSTRAINT_KINDS = ("minCount", "maxCount", "class", "datatype", "nodeKind", "inList")
 NODE_KINDS = ("iri", "literal", "blank", "iri_or_blank", "iri_or_literal", "blank_or_literal")
@@ -91,14 +91,6 @@ def _kind_accepts(node_kind: str, term: Term) -> bool:
     return actual in node_kind.split("_or_")
 
 
-def _term_text(term: Term) -> str:
-    if isinstance(term, IRI):
-        return term.value
-    if isinstance(term, BlankNode):
-        return str(term)
-    return term.lexical
-
-
 def validate(graph: list[Triple], shapes: list[Shape]) -> list[ConstraintViolation]:
     """Evaluate every (focus node of the target class, constraint) pair."""
     by_sp: dict[tuple[Term, str], list[Term]] = {}
@@ -112,7 +104,7 @@ def validate(graph: list[Triple], shapes: list[Shape]) -> list[ConstraintViolati
     for shape in shapes:
         focus_nodes = sorted(
             (node for node, classes in types.items() if shape.target_class in classes),
-            key=_term_text,
+            key=plain_text,
         )
         for focus in focus_nodes:
             for c in shape.constraints:
@@ -121,7 +113,7 @@ def validate(graph: list[Triple], shapes: list[Shape]) -> list[ConstraintViolati
                     if len(values) < c.count:
                         out.append(
                             ConstraintViolation(
-                                _term_text(focus), c.path, "minCount",
+                                plain_text(focus), c.path, "minCount",
                                 f"expected at least {c.count} value(s) for <{c.path}>, found {len(values)}",
                                 c.severity,
                             )
@@ -130,7 +122,7 @@ def validate(graph: list[Triple], shapes: list[Shape]) -> list[ConstraintViolati
                     if len(values) > c.count:
                         out.append(
                             ConstraintViolation(
-                                _term_text(focus), c.path, "maxCount",
+                                plain_text(focus), c.path, "maxCount",
                                 f"expected at most {c.count} value(s) for <{c.path}>, found {len(values)}",
                                 c.severity,
                             )
@@ -140,8 +132,8 @@ def validate(graph: list[Triple], shapes: list[Shape]) -> list[ConstraintViolati
                         if isinstance(v, Literal) or c.class_iri not in types.get(v, set()):
                             out.append(
                                 ConstraintViolation(
-                                    _term_text(focus), c.path, "class",
-                                    f"value {_term_text(v)!r} of <{c.path}> is not a <{c.class_iri}>",
+                                    plain_text(focus), c.path, "class",
+                                    f"value {plain_text(v)!r} of <{c.path}> is not a <{c.class_iri}>",
                                     c.severity,
                                 )
                             )
@@ -150,7 +142,7 @@ def validate(graph: list[Triple], shapes: list[Shape]) -> list[ConstraintViolati
                         if not isinstance(v, Literal) or v.datatype != c.datatype:
                             out.append(
                                 ConstraintViolation(
-                                    _term_text(focus), c.path, "datatype",
+                                    plain_text(focus), c.path, "datatype",
                                     f"value of <{c.path}> must be a literal typed <{c.datatype}>",
                                     c.severity,
                                 )
@@ -160,18 +152,18 @@ def validate(graph: list[Triple], shapes: list[Shape]) -> list[ConstraintViolati
                         if not _kind_accepts(c.node_kind, v):
                             out.append(
                                 ConstraintViolation(
-                                    _term_text(focus), c.path, "nodeKind",
+                                    plain_text(focus), c.path, "nodeKind",
                                     f"value of <{c.path}> must be {c.node_kind}, got {_node_kind_of(v)}",
                                     c.severity,
                                 )
                             )
                 elif c.kind == "inList":
                     for v in values:
-                        if _term_text(v) not in c.values:
+                        if plain_text(v) not in c.values:
                             out.append(
                                 ConstraintViolation(
-                                    _term_text(focus), c.path, "inList",
-                                    f"value {_term_text(v)!r} of <{c.path}> is not in the allowed list",
+                                    plain_text(focus), c.path, "inList",
+                                    f"value {plain_text(v)!r} of <{c.path}> is not in the allowed list",
                                     c.severity,
                                 )
                             )

@@ -16,7 +16,7 @@ from urllib.parse import urlparse
 import requests
 
 from .. import ns
-from ..rdf import IRI, Term, Triple
+from ..rdf import IRI, Term, Triple, plain_text
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,7 @@ def distribution_urls(graph: list[Triple]) -> dict[str, str]:
             if isinstance(o, IRI)
         ]
         if urls:
-            out[str(dist)] = urls[0]
+            out[plain_text(dist)] = urls[0]
     return out
 
 

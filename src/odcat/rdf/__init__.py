@@ -1,6 +1,6 @@
 """Embedded named-graph RDF store with Turtle/N-Triples support."""
 
-from .terms import IRI, BlankNode, Literal, Quad, Term, Triple
+from .terms import IRI, BlankNode, Literal, Quad, Term, Triple, plain_text
 from .turtle import ParseError, UnresolvedPrefixError, parse_turtle
 from .ntriples import parse_ntriples
 from .serialize import serialize, serialize_ntriples, serialize_turtle, serialize_wire
@@ -15,6 +15,7 @@ __all__ = [
     "Quad",
     "Term",
     "Triple",
+    "plain_text",
     "ParseError",
     "UnresolvedPrefixError",
     "parse_turtle",

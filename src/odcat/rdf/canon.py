@@ -12,9 +12,9 @@ limitation), which is still deterministic for a fixed input.
 from __future__ import annotations
 
 import hashlib
+from typing import Iterable
 
-from .serialize import format_term, format_triple
-from .terms import BlankNode, Triple
+from .terms import BlankNode, Term, Triple
 
 _BRANCH_BUDGET = 5000
 
@@ -23,81 +23,81 @@ def _h(*parts: bytes) -> bytes:
     return hashlib.sha256(b"\x1f".join(parts)).digest()
 
 
-def _ground(term) -> bytes:
+def _ground(term: Term) -> bytes:
     if isinstance(term, BlankNode):
         return b"*"
-    return format_term(term).encode("utf-8")
+    # "surrogatepass", as for predicates: a term read from JSON may hold a lone surrogate
+    return term.encode("utf-8", "surrogatepass")
 
 
-def _initial_colors(triples: list[Triple], labels: set[str]) -> dict[str, bytes]:
-    sigs: dict[str, list[bytes]] = {lb: [] for lb in labels}
+# Colors are keyed by the blank node itself: the nodes of one graph sort as
+# their labels do, since every node's text is "_:" and its label.
+
+
+def _initial_colors(triples: list[Triple], labels: set[BlankNode]) -> dict[BlankNode, bytes]:
+    sigs: dict[BlankNode, list[bytes]] = {lb: [] for lb in labels}
     for s, p, o in triples:
-        pb = p.value.encode("utf-8")
+        pb = p.value.encode("utf-8", "surrogatepass")
         if isinstance(s, BlankNode):
-            sigs[s.label].append(_h(b"s", pb, _ground(o)))
+            sigs[s].append(_h(b"s", pb, _ground(o)))
         if isinstance(o, BlankNode):
-            sigs[o.label].append(_h(b"o", pb, _ground(s)))
+            sigs[o].append(_h(b"o", pb, _ground(s)))
     return {lb: _h(b"init", *sorted(sig)) for lb, sig in sigs.items()}
 
 
-def _refine(colors: dict[str, bytes], triples: list[Triple]) -> dict[str, bytes]:
+def _refine(colors: dict[BlankNode, bytes], triples: list[Triple]) -> dict[BlankNode, bytes]:
     while True:
-        contrib: dict[str, list[bytes]] = {lb: [] for lb in colors}
+        contrib: dict[BlankNode, list[bytes]] = {lb: [] for lb in colors}
         for s, p, o in triples:
-            pb = p.value.encode("utf-8")
+            pb = p.value.encode("utf-8", "surrogatepass")
             if isinstance(s, BlankNode):
-                other = colors[o.label] if isinstance(o, BlankNode) else _ground(o)
-                contrib[s.label].append(_h(b"out", pb, other))
+                other = colors[o] if isinstance(o, BlankNode) else _ground(o)
+                contrib[s].append(_h(b"out", pb, other))
             if isinstance(o, BlankNode):
-                other = colors[s.label] if isinstance(s, BlankNode) else _ground(s)
-                contrib[o.label].append(_h(b"in", pb, other))
+                other = colors[s] if isinstance(s, BlankNode) else _ground(s)
+                contrib[o].append(_h(b"in", pb, other))
         new = {lb: _h(colors[lb], *sorted(contrib[lb])) for lb in colors}
         if _partition(new) == _partition(colors):
             return new
         colors = new
 
 
-def _partition(colors: dict[str, bytes]) -> list[tuple[str, ...]]:
-    groups: dict[bytes, list[str]] = {}
+def _partition(colors: dict[BlankNode, bytes]) -> list[tuple[BlankNode, ...]]:
+    groups: dict[bytes, list[BlankNode]] = {}
     for lb, c in colors.items():
         groups.setdefault(c, []).append(lb)
     return sorted(tuple(sorted(g)) for g in groups.values())
 
 
-def _relabel(triples: list[Triple], mapping: dict[str, str]) -> list[Triple]:
-    def sub(term):
-        if isinstance(term, BlankNode):
-            return BlankNode(mapping[term.label])
-        return term
-
-    return [(sub(s), p, sub(o)) for s, p, o in triples]
+def _relabel(triples: list[Triple], mapping: dict[BlankNode, BlankNode]) -> list[Triple]:
+    return [(mapping.get(s, s), p, mapping.get(o, o)) for s, p, o in triples]
 
 
-def _serialized(triples: list[Triple]) -> bytes:
-    lines = sorted({format_triple(t) for t in triples})
-    return "\n".join(lines).encode("utf-8")
+def _lines(triples: list[Triple]) -> list[str]:
+    """The distinct N-Triples lines of a graph, in code-point (UTF-8 byte) order."""
+    return sorted({f"{s} {p} {o} ." for s, p, o in triples})
 
 
 def canonicalize(triples: list[Triple]) -> list[Triple]:
     """Return the graph with blank nodes relabeled to canonical c0, c1, ..."""
-    labels = {t.label for tr in triples for t in (tr[0], tr[2]) if isinstance(t, BlankNode)}
+    labels = {t for tr in triples for t in (tr[0], tr[2]) if isinstance(t, BlankNode)}
     if not labels:
         return list(triples)
 
     budget = [_BRANCH_BUDGET]
-    best: list[bytes | None] = [None]
-    best_mapping: list[dict[str, str] | None] = [None]
+    best: list[str | None] = [None]
+    best_mapping: list[dict[BlankNode, BlankNode] | None] = [None]
 
-    def search(colors: dict[str, bytes]) -> None:
+    def search(colors: dict[BlankNode, bytes]) -> None:
         colors = _refine(colors, triples)
-        classes: dict[bytes, list[str]] = {}
+        classes: dict[bytes, list[BlankNode]] = {}
         for lb, c in colors.items():
             classes.setdefault(c, []).append(lb)
         tied = sorted((c for c, members in classes.items() if len(members) > 1))
         if not tied:
             order = sorted(labels, key=lambda lb: colors[lb])
-            mapping = {lb: f"c{i}" for i, lb in enumerate(order)}
-            blob = _serialized(_relabel(triples, mapping))
+            mapping = {lb: BlankNode(f"c{i}") for i, lb in enumerate(order)}
+            blob = "\n".join(_lines(_relabel(triples, mapping)))
             if best[0] is None or blob < best[0]:
                 best[0] = blob
                 best_mapping[0] = mapping
@@ -116,9 +116,10 @@ def canonicalize(triples: list[Triple]) -> list[Triple]:
     return _relabel(triples, best_mapping[0])
 
 
-def canonical_ntriples(triples: list[Triple]) -> str:
-    """Canonical serialized form; equal byte strings mean isomorphic graphs."""
-    lines = sorted({format_triple(t) for t in canonicalize(triples)}, key=lambda s: s.encode("utf-8"))
+def canonical_ntriples(triples: Iterable[Triple]) -> str:
+    """Canonical N-Triples: deterministic blank labels, bytewise-sorted lines.
+    Equal strings mean isomorphic graphs."""
+    lines = _lines(canonicalize(list(triples)))
     return "\n".join(lines) + ("\n" if lines else "")
 
 

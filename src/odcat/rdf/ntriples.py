@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from typing import NoReturn
 
-from .terms import _IRI_FORBIDDEN, IRI, BlankNode, Literal, Quad, Term, Triple
+from .terms import _IRI_FORBIDDEN, IRI, BlankNode, Literal, Term, Triple
 from .turtle import _ECHAR, _SCHEME_RE, ParseError
 
 _UCHAR = r"\\u[0-9A-Fa-f]{4}|\\U[0-9A-Fa-f]{8}"
@@ -81,13 +81,13 @@ class LineParser:
         s, p, o = self._terms_of(m, lineno)
         return (s, p, o)
 
-    def quad(self, line: str, lineno: int, pos: int = 0) -> Quad:
-        """The quad stated on one N-Quads line, read from column `pos` + 1."""
+    def quad(self, line: str, lineno: int, pos: int = 0) -> tuple[Term, IRI, Term, str]:
+        """The `(s, p, o, graph name)` of one N-Quads line, read from column `pos` + 1."""
         m = _QUAD_LINE.match(line, pos)
         if m is None:
             self._reject(line, lineno, pos, _QUAD, _DOT)
         s, p, o, g = self._terms_of(m, lineno)
-        return Quad(s, p, o, g.value)
+        return (s, p, o, g.value)
 
     def graph_name(self, line: str, lineno: int, pos: int) -> str:
         """The graph IRI that makes up the rest of a line."""

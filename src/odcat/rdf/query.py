@@ -67,5 +67,5 @@ def query(store: QuadStore, q: GraphQuery) -> list[Binding]:
             return []
     unique: dict[tuple, Binding] = {}
     for b in bindings:
-        unique[tuple(sorted((k, repr(v)) for k, v in b.items()))] = b
+        unique[tuple(sorted(b.items()))] = b
     return list(unique.values())

@@ -9,7 +9,8 @@ from __future__ import annotations
 import re
 from typing import Iterable
 
-from .terms import IRI, RDF_TYPE, XSD_STRING, BlankNode, Literal, Term, Triple
+from .canon import canonical_ntriples
+from .terms import IRI, RDF_LANGSTRING, RDF_TYPE, XSD_STRING, Literal, Term, Triple
 
 DEFAULT_PREFIXES = {
     "rdf": "http://www.w3.org/1999/02/22-rdf-syntax-ns#",
@@ -23,53 +24,15 @@ DEFAULT_PREFIXES = {
     "prov": "http://www.w3.org/ns/prov#",
 }
 
-# the short escapes, and \uXXXX for every other C0 control character
-_ESCAPES = {chr(c): f"\\u{c:04X}" for c in range(0x20)} | {
-    "\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t", "\b": "\\b", "\f": "\\f"
-}
-_ESCAPED = re.compile(r'[\\"\x00-\x1f]')
 _LOCAL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*$")
+_TYPE = IRI(RDF_TYPE)
 
-
-def _escape_string(s: str) -> str:
-    return _ESCAPED.sub(_escape_one, s)
-
-
-def _escape_one(m: re.Match) -> str:
-    return _ESCAPES[m.group()]
-
-
-def format_term(term: Term) -> str:
-    """N-Triples form of one term."""
-    if isinstance(term, IRI):
-        return f"<{term.value}>"
-    if isinstance(term, BlankNode):
-        return f"_:{term.label}"
-    if isinstance(term, Literal):
-        body = f'"{_escape_string(term.lexical)}"'
-        if term.lang is not None:
-            return f"{body}@{term.lang}"
-        if term.datatype == XSD_STRING:
-            return body
-        return f"{body}^^<{term.datatype}>"
-    raise TypeError(f"not an RDF term: {term!r}")
-
-
-def format_triple(triple: Triple) -> str:
-    s, p, o = triple
-    return f"{format_term(s)} {format_term(p)} {format_term(o)} ."
-
-
-def serialize_ntriples(triples: Iterable[Triple]) -> str:
-    """Canonical N-Triples: deterministic blank labels, bytewise-sorted lines."""
-    from .canon import canonicalize
-
-    lines = sorted({format_triple(t) for t in canonicalize(list(triples))}, key=lambda s: s.encode("utf-8"))
-    return "\n".join(lines) + ("\n" if lines else "")
+serialize_ntriples = canonical_ntriples
 
 
 def _sort_key(term: Term) -> tuple:
-    return (isinstance(term, BlankNode), format_term(term).encode("utf-8"))
+    # code-point order of the text is the byte order of its UTF-8 form
+    return (term[0] == "_", term)
 
 
 def _subject_groups(triples: Iterable[Triple]) -> list[tuple[Term, list[tuple[IRI, list[Term]]]]]:
@@ -89,7 +52,7 @@ def _subject_groups(triples: Iterable[Triple]) -> list[tuple[Term, list[tuple[IR
             s,
             [
                 (p, sorted(set(grouped[s][p]), key=_sort_key))
-                for p in sorted(grouped[s], key=lambda p: (p.value != RDF_TYPE, _sort_key(p)))
+                for p in sorted(grouped[s], key=lambda p: (p != _TYPE, p))
             ],
         )
         for s in sorted(grouped, key=_sort_key)
@@ -102,10 +65,9 @@ def serialize_wire(triples: Iterable[Triple]) -> str:
     as parsing the Turtle form."""
     lines = []
     for s, predicates in _subject_groups(triples):
-        subject = format_term(s)
         for p, objects in predicates:
-            head = f"{subject} <{p.value}> "
-            lines.extend(f"{head}{format_term(o)} ." for o in objects)
+            head = f"{s} {p} "
+            lines.extend(f"{head}{o} ." for o in objects)
     return "\n".join(lines) + "\n" if lines else ""
 
 
@@ -123,24 +85,27 @@ def serialize_turtle(triples: Iterable[Triple], prefixes: dict[str, str] | None 
 
     def term_text(term: Term, as_predicate: bool = False) -> str:
         if isinstance(term, IRI):
-            if as_predicate and term.value == RDF_TYPE:
+            if as_predicate and term == _TYPE:
                 return "a"
+            value = term.value
             for iri, name in by_iri:
-                if term.value.startswith(iri):
-                    local = term.value[len(iri):]
+                if value.startswith(iri):
+                    local = value[len(iri):]
                     if local == "" or _LOCAL_RE.match(local):
                         used.add(name)
                         return f"{name}:{local}"
-            return f"<{term.value}>"
-        if isinstance(term, Literal) and term.lang is None and term.datatype != XSD_STRING:
-            for iri, name in by_iri:
-                if term.datatype.startswith(iri):
-                    local = term.datatype[len(iri):]
-                    if _LOCAL_RE.match(local):
-                        used.add(name)
-                        return f'"{_escape_string(term.lexical)}"^^{name}:{local}'
-            return format_term(term)
-        return format_term(term)
+            return term
+        if isinstance(term, Literal):
+            datatype = term.datatype
+            if datatype not in (XSD_STRING, RDF_LANGSTRING):
+                for iri, name in by_iri:
+                    if datatype.startswith(iri):
+                        local = datatype[len(iri):]
+                        if _LOCAL_RE.match(local):
+                            used.add(name)
+                            # the quoted form, without its `^^<datatype>`
+                            return f"{term[: -len(datatype) - 4]}^^{name}:{local}"
+        return term
 
     blocks: list[str] = []
     for s, predicates in groups:

@@ -10,16 +10,10 @@ from pathlib import Path
 from typing import Iterable
 
 from .ntriples import LineParser
-from .serialize import format_term
 from .terms import IRI, Quad, Term, Triple
 from .turtle import ParseError
 
 logger = logging.getLogger(__name__)
-
-
-def _format_quad(q: Quad) -> str:
-    return f"{format_term(q.subject)} {format_term(q.predicate)} {format_term(q.object)} <{q.graph}> ."
-
 
 _BATCH_COUNT_RE = re.compile(r"B ([1-9][0-9]*)\Z")
 
@@ -33,11 +27,13 @@ def _batch_count(line: str, lineno: int) -> int:
 
 
 class QuadStore:
-    """Set-semantics quad store with one index: each graph's set of quads.
+    """Set-semantics quad store with one index: each graph's set of triples.
 
-    Each quad is kept once, in its graph's set, and a count of all quads
-    answers `len()`. `match` scans one graph's set, or every set when no
-    graph is given; the registry's lookups are scans of one dataset graph.
+    Each quad is kept once, as a plain `(s, p, o)` in its graph's set, and
+    a count of all quads answers `len()`. Predicates are interned: there are
+    only as many as the vocabulary has. `match` scans one graph's set, or
+    every set when no graph is given; the registry's lookups are scans of
+    one dataset graph.
 
     All mutations are serialized by one lock and, when a data directory is
     configured, appended to a write-ahead log of N-Quads lines. A mutation
@@ -52,7 +48,8 @@ class QuadStore:
     """
 
     def __init__(self, data_dir: str | Path | None = None, compact_every: int = 500_000):
-        self._by_graph: dict[str, set[Quad]] = {}
+        self._by_graph: dict[str, set[Triple]] = {}
+        self._predicates: dict[IRI, IRI] = {}
         self._count = 0
         self._lock = threading.RLock()
         self._wal = None
@@ -82,7 +79,7 @@ class QuadStore:
             text = self._snapshot_path.read_bytes().decode("utf-8")
             for lineno, line in enumerate(text.split("\n"), 1):
                 if line.strip():
-                    self._index_add(parser.quad(line, lineno))
+                    self._index_add(*parser.quad(line, lineno))
         if not self._wal_path.exists():
             return
         data = self._wal_path.read_bytes()
@@ -93,9 +90,9 @@ class QuadStore:
         for lineno, line in enumerate(lines, 1):
             op = line[:2]
             if op == "A ":
-                self._index_add(parser.quad(line, lineno, 2))
+                self._index_add(*parser.quad(line, lineno, 2))
             elif op == "D ":
-                self._index_remove(parser.quad(line, lineno, 2))
+                self._index_remove(*parser.quad(line, lineno, 2))
             elif op == "C ":
                 self._clear_graph(parser.graph_name(line, lineno, 2))
             elif op == "B ":
@@ -130,22 +127,22 @@ class QuadStore:
 
     # -- index maintenance ----------------------------------------------
 
-    def _index_add(self, q: Quad) -> bool:
-        bucket = self._by_graph.setdefault(q.graph, set())
+    def _index_add(self, s: Term, p: IRI, o: Term, graph: str) -> bool:
+        bucket = self._by_graph.setdefault(graph, set())
         size = len(bucket)
-        bucket.add(q)  # one hash: the size tells whether q was new
+        bucket.add((s, self._predicates.setdefault(p, p), o))  # one hash: the size tells whether it was new
         if len(bucket) == size:
             return False
         self._count += 1
         return True
 
-    def _index_remove(self, q: Quad) -> bool:
-        bucket = self._by_graph.get(q.graph)
-        if bucket is None or q not in bucket:
+    def _index_remove(self, s: Term, p: IRI, o: Term, graph: str) -> bool:
+        bucket = self._by_graph.get(graph)
+        if bucket is None or (s, p, o) not in bucket:
             return False
-        bucket.remove(q)
+        bucket.remove((s, p, o))
         if not bucket:
-            del self._by_graph[q.graph]
+            del self._by_graph[graph]
         self._count -= 1
         return True
 
@@ -161,31 +158,30 @@ class QuadStore:
 
     def add(self, graph: str, triple: Triple) -> bool:
         """Insert one quad; returns False if it was already present."""
-        q = Quad(triple[0], triple[1], triple[2], graph)
+        s, p, o = triple
         with self._lock:
-            added = self._index_add(q)
+            added = self._index_add(s, p, o, graph)
             if added:
-                self._log(["A " + _format_quad(q)])
+                self._log([f"A {s} {p} {o} <{graph}> ."])
                 self._flush()
             return added
 
     def add_all(self, graph: str, triples: Iterable[Triple]) -> int:
         with self._lock:
             lines = []
-            for t in triples:
-                q = Quad(t[0], t[1], t[2], graph)
-                if self._index_add(q):
-                    lines.append("A " + _format_quad(q))
+            for s, p, o in triples:
+                if self._index_add(s, p, o, graph):
+                    lines.append(f"A {s} {p} {o} <{graph}> .")
             self._log(lines)
             self._flush()
             return len(lines)
 
     def remove(self, graph: str, triple: Triple) -> bool:
-        q = Quad(triple[0], triple[1], triple[2], graph)
+        s, p, o = triple
         with self._lock:
-            removed = self._index_remove(q)
+            removed = self._index_remove(s, p, o, graph)
             if removed:
-                self._log(["D " + _format_quad(q)])
+                self._log([f"D {s} {p} {o} <{graph}> ."])
                 self._flush()
             return removed
 
@@ -207,19 +203,18 @@ class QuadStore:
         with self._lock:
             self._clear_graph(graph)
             lines = [f"C <{graph}>"]
-            for t in triples:
-                q = Quad(t[0], t[1], t[2], graph)
-                if self._index_add(q):
-                    lines.append("A " + _format_quad(q))
-            for q in also_add:
-                if self._index_add(q):
-                    lines.append("A " + _format_quad(q))
+            for s, p, o in triples:
+                if self._index_add(s, p, o, graph):
+                    lines.append(f"A {s} {p} {o} <{graph}> .")
+            for s, p, o, g in also_add:
+                if self._index_add(s, p, o, g):
+                    lines.append(f"A {s} {p} {o} <{g}> .")
             self._log(lines)
             self._flush()
 
     def graph(self, graph: str) -> list[Triple]:
         with self._lock:
-            return [q.triple for q in self._by_graph.get(graph, ())]
+            return list(self._by_graph.get(graph, ()))
 
     def has_graph(self, graph: str) -> bool:
         with self._lock:
@@ -239,16 +234,16 @@ class QuadStore:
         """All quads matching the given concrete positions (None = any)."""
         with self._lock:
             if graph is not None:
-                buckets = [self._by_graph.get(graph, ())]
+                buckets = [(graph, self._by_graph.get(graph, ()))]
             else:
-                buckets = self._by_graph.values()
+                buckets = self._by_graph.items()
             return [
-                q
-                for bucket in buckets
-                for q in bucket
-                if (subject is None or q.subject == subject)
-                and (predicate is None or q.predicate == predicate)
-                and (obj is None or q.object == obj)
+                Quad(s, p, o, g)
+                for g, bucket in buckets
+                for s, p, o in bucket
+                if (subject is None or s == subject)
+                and (predicate is None or p == predicate)
+                and (obj is None or o == obj)
             ]
 
     def objects(self, graph: str | None, subject: Term, predicate: IRI) -> list[Term]:
@@ -261,7 +256,7 @@ class QuadStore:
         if self._data_dir is None:
             return
         with self._lock:
-            lines = sorted(_format_quad(q) for bucket in self._by_graph.values() for q in bucket)
+            lines = sorted(f"{s} {p} {o} <{g}> ." for g, bucket in self._by_graph.items() for s, p, o in bucket)
             tmp = self._snapshot_path.with_suffix(".tmp")
             tmp.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
             tmp.replace(self._snapshot_path)

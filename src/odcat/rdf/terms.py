@@ -1,10 +1,15 @@
-"""RDF term model: IRIs, literals, blank nodes, quads."""
+"""RDF term model: IRIs, literals, blank nodes, quads.
+
+Each term is a `str` whose text is its N-Triples form (`<…>`, `"…"`,
+`"…"@lang`, `"…"^^<dt>` or `_:b`), so hashing and equality run in C and a
+term is written out as it is. Kinds never compare equal: their texts start
+differently. The properties read the parts back out of the text.
+"""
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 XSD = "http://www.w3.org/2001/XMLSchema#"
 XSD_STRING = XSD + "string"
@@ -20,17 +25,48 @@ RDF_LANGSTRING = RDF_NS + "langString"
 _IRI_FORBIDDEN = set(" \t\n\r\f\v<>\"{}|^`")
 _IRI_FORBIDDEN_RE = re.compile("[" + "".join(re.escape(c) for c in sorted(_IRI_FORBIDDEN)) + "]")
 
+# the short escapes, and \uXXXX for every other C0 control character
+_ESCAPES = {chr(c): f"\\u{c:04X}" for c in range(0x20)} | {
+    "\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t", "\b": "\\b", "\f": "\\f"
+}
+_ESCAPED = re.compile(r'[\\"\x00-\x1f]')
+# each escape `_ESCAPES` writes, and the character it stands for
+_UNESCAPES = {escape: c for c, escape in _ESCAPES.items()}
+_ESCAPE_SEQ = re.compile(r"\\(?:u[0-9A-F]{4}|.)")
+# a quoted lexical form as `Literal` writes it: a '"' inside is escaped
+_QUOTED = re.compile(r'"(?:[^"\\]|\\.)*"')
 
-@dataclass(frozen=True, slots=True)
-class IRI:
-    value: str
 
-    def __post_init__(self) -> None:
-        if _IRI_FORBIDDEN_RE.search(self.value):
-            raise ValueError(f"IRI contains forbidden character: {self.value!r}")
+def _escape_string(s: str) -> str:
+    return _ESCAPED.sub(_escape_one, s)
 
-    def __str__(self) -> str:
-        return self.value
+
+def _escape_one(m: re.Match) -> str:
+    return _ESCAPES[m.group()]
+
+
+def _unescape_one(m: re.Match) -> str:
+    return _UNESCAPES[m.group()]
+
+
+class _Term(str):
+    __slots__ = ()
+
+    def __reduce__(self):  # copies and pickles take the text as it is: `__new__` would wrap it again
+        return str.__new__, (type(self), str(self))
+
+
+class IRI(_Term):
+    __slots__ = ()
+
+    def __new__(cls, value: str) -> IRI:
+        if _IRI_FORBIDDEN_RE.search(value):
+            raise ValueError(f"IRI contains forbidden character: {value!r}")
+        return str.__new__(cls, f"<{value}>")
+
+    @property
+    def value(self) -> str:
+        return self[1:-1]
 
     def local_name(self) -> str:
         """Text after the last '#' or '/' (used as a label fallback)."""
@@ -42,37 +78,69 @@ class IRI:
         return v
 
 
-@dataclass(frozen=True, slots=True)
-class BlankNode:
-    label: str
+class BlankNode(_Term):
+    __slots__ = ()
 
-    def __str__(self) -> str:
-        return "_:" + self.label
+    def __new__(cls, label: str) -> BlankNode:
+        return str.__new__(cls, "_:" + label)
+
+    @property
+    def label(self) -> str:
+        return self[2:]
 
 
-@dataclass(frozen=True, slots=True)
-class Literal:
-    lexical: str
-    datatype: str = XSD_STRING
-    lang: str | None = None
+class Literal(_Term):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.lang is not None:
-            object.__setattr__(self, "lang", self.lang.lower())
-            object.__setattr__(self, "datatype", RDF_LANGSTRING)
-        elif self.datatype == RDF_LANGSTRING:
+    def __new__(cls, lexical: str, datatype: str = XSD_STRING, lang: str | None = None) -> Literal:
+        body = _escape_string(lexical)
+        if lang is not None:
+            return str.__new__(cls, f'"{body}"@{lang.lower()}')
+        if datatype == RDF_LANGSTRING:
             raise ValueError("language-string literal requires a language tag")
+        if datatype == XSD_STRING:
+            return str.__new__(cls, f'"{body}"')
+        return str.__new__(cls, f'"{body}"^^<{datatype}>')
 
-    def __str__(self) -> str:
-        return self.lexical
+    def _close(self) -> int:
+        """Index of the quote that ends the lexical form."""
+        if "\\" not in self:
+            return self.index('"', 1)
+        return _QUOTED.match(self).end() - 1
+
+    @property
+    def lexical(self) -> str:
+        body = self[1 : self._close()]
+        return _ESCAPE_SEQ.sub(_unescape_one, body) if "\\" in body else body
+
+    @property
+    def lang(self) -> str | None:
+        suffix = self[self._close() + 1 :]
+        return suffix[1:] if suffix[:1] == "@" else None
+
+    @property
+    def datatype(self) -> str:
+        suffix = self[self._close() + 1 :]
+        if not suffix:
+            return XSD_STRING
+        return RDF_LANGSTRING if suffix[0] == "@" else suffix[3:-1]
 
 
 Term = Union[IRI, Literal, BlankNode]
 Triple = tuple[Term, IRI, Term]
 
 
-@dataclass(frozen=True, slots=True)
-class Quad:
+def plain_text(term: Term) -> str:
+    """An IRI's value, a literal's lexical form or a blank node's `_:label`:
+    how reports and result keys name a term."""
+    if isinstance(term, IRI):
+        return term.value
+    if isinstance(term, Literal):
+        return term.lexical
+    return str(term)
+
+
+class Quad(NamedTuple):
     subject: Term
     predicate: IRI
     object: Term
@@ -80,4 +148,4 @@ class Quad:
 
     @property
     def triple(self) -> Triple:
-        return (self.subject, self.predicate, self.object)
+        return self[:3]

@@ -15,6 +15,13 @@ from .ids import normalize_id
 
 logger = logging.getLogger(__name__)
 
+RDF_TYPE = IRI(ns.RDF_TYPE)
+DCAT_CATALOG = IRI(ns.DCAT_CATALOG)
+DCAT_DATASET_LINK = IRI(ns.DCAT_DATASET_LINK)
+DCAT_DISTRIBUTION = IRI(ns.DCAT_DISTRIBUTION)
+DCAT_DISTRIBUTION_CLASS = IRI(ns.DCAT_DISTRIBUTION_CLASS)
+DCT_IDENTIFIER = IRI(ns.DCT_IDENTIFIER)
+
 
 class NotFoundError(KeyError):
     pass
@@ -88,10 +95,7 @@ class UriScheme:
 
 
 def _rewrite(triples: Iterable[Triple], mapping: dict[Term, Term]) -> list[Triple]:
-    def sub(term: Term) -> Term:
-        return mapping.get(term, term)
-
-    return [(sub(s), p, sub(o)) for s, p, o in triples]
+    return [(mapping.get(s, s), p, mapping.get(o, o)) for s, p, o in triples]
 
 
 class Registry:
@@ -119,22 +123,20 @@ class Registry:
 
     def _rebuild(self) -> None:
         graphs = self.store.graphs()
-        link = IRI(ns.DCAT_DATASET_LINK)
         owner: dict[Term, str] = {}  # dataset IRI -> first catalogue linking it
         for graph_name in graphs:
             cid = self.scheme.catalogue_id_of(graph_name)
             if cid is not None and not self.scheme.dataset_id_of(graph_name):
                 self._catalogues.setdefault(cid, set())
-                for dataset in self.store.objects(graph_name, IRI(graph_name), link):
+                for dataset in self.store.objects(graph_name, IRI(graph_name), DCAT_DATASET_LINK):
                     owner.setdefault(dataset, cid)
-        identifier = IRI(ns.DCT_IDENTIFIER)
         for graph_name in graphs:
             ds_id = self.scheme.dataset_id_of(graph_name)
             if ds_id is None:
                 continue
             subject = IRI(graph_name)
             original = next(
-                (o.lexical for o in self.store.objects(graph_name, subject, identifier) if isinstance(o, Literal)),
+                (o.lexical for o in self.store.objects(graph_name, subject, DCT_IDENTIFIER) if isinstance(o, Literal)),
                 ds_id,
             )
             catalogue_id = owner.get(subject, "")
@@ -149,24 +151,15 @@ class Registry:
         graph_name = cat_iri.value
         with self._write_lock:
             created = catalogue_id not in self._catalogues
-            links = [
-                q.triple
-                for q in self.store.match(graph_name, cat_iri, IRI(ns.DCAT_DATASET_LINK), None)
-            ]
+            links = [q.triple for q in self.store.match(graph_name, cat_iri, DCAT_DATASET_LINK, None)]
             new_triples: list[Triple] = []
             if triples:
-                subjects = {
-                    s
-                    for s, p, o in triples
-                    if p.value == ns.RDF_TYPE and isinstance(o, IRI) and o.value == ns.DCAT_CATALOG
-                }
+                subjects = {s for s, p, o in triples if p == RDF_TYPE and o == DCAT_CATALOG}
                 mapping: dict[Term, Term] = {s: cat_iri for s in subjects}
                 new_triples = _rewrite(triples, mapping)
-            if not any(
-                p.value == ns.RDF_TYPE and o == IRI(ns.DCAT_CATALOG) and s == cat_iri
-                for s, p, o in new_triples
-            ):
-                new_triples.append((cat_iri, IRI(ns.RDF_TYPE), IRI(ns.DCAT_CATALOG)))
+            type_triple = (cat_iri, RDF_TYPE, DCAT_CATALOG)
+            if type_triple not in new_triples:
+                new_triples.append(type_triple)
             self.store.replace_graph(graph_name, new_triples + links)
             self._catalogues.setdefault(catalogue_id, set())
             return "created" if created else "updated"
@@ -188,12 +181,7 @@ class Registry:
         """Harmonize and store one dataset graph; returns (result, id)."""
         if catalogue_id not in self._catalogues:
             raise UnknownCatalogueError(catalogue_id)
-        subjects = [
-            s
-            for s, p, o in triples
-            if p.value == ns.RDF_TYPE and isinstance(o, IRI) and o.value == ns.DCAT_DATASET
-        ]
-        unique_subjects = list(dict.fromkeys(subjects))
+        unique_subjects = ns.dataset_subjects(triples)
         if not unique_subjects:
             raise NoDatasetNodeError("graph contains no dcat:Dataset subject")
         if len(unique_subjects) > 1:
@@ -204,7 +192,8 @@ class Registry:
 
         with self._write_lock:
             ds_id = normalize_id(original_id, catalogue_id, taken=self._datasets)
-            ds_iri = IRI(self.scheme.dataset(ds_id))
+            graph_name = self.scheme.dataset(ds_id)
+            ds_iri = IRI(graph_name)
             mapping: dict[Term, Term] = {source_node: ds_iri}
             triples = _rewrite(triples, mapping)
 
@@ -212,27 +201,25 @@ class Registry:
             dist_mapping: dict[Term, Term] = {}
             ordinal = 0
             for s, p, o in triples:
-                if s == ds_iri and p.value == ns.DCAT_DISTRIBUTION and o not in dist_mapping:
-                    dist_mapping[o] = IRI(self.scheme.distribution(ds_iri.value, ordinal))
+                if s == ds_iri and p == DCAT_DISTRIBUTION and o not in dist_mapping:
+                    dist_mapping[o] = IRI(self.scheme.distribution(graph_name, ordinal))
                     ordinal += 1
             triples = _rewrite(triples, dist_mapping)
             for dist_iri in dist_mapping.values():
-                type_triple = (dist_iri, IRI(ns.RDF_TYPE), IRI(ns.DCAT_DISTRIBUTION_CLASS))
+                type_triple = (dist_iri, RDF_TYPE, DCAT_DISTRIBUTION_CLASS)
                 if type_triple not in triples:
                     triples.append(type_triple)
 
-            triples = [
-                t for t in triples if not (t[0] == ds_iri and t[1].value == ns.DCT_IDENTIFIER)
-            ]
-            triples.append((ds_iri, IRI(ns.DCT_IDENTIFIER), Literal(original_id)))
+            triples = [t for t in triples if not (t[0] == ds_iri and t[1] == DCT_IDENTIFIER)]
+            triples.append((ds_iri, DCT_IDENTIFIER, Literal(original_id)))
 
             if self._unchanged(ds_id, catalogue_id, triples):
                 kind = "unchanged"
             else:
-                kind = "updated" if self.store.has_graph(ds_iri.value) else "created"
+                kind = "updated" if self.store.has_graph(graph_name) else "created"
                 cat_graph = self.scheme.catalogue(catalogue_id)
-                link = Quad(IRI(cat_graph), IRI(ns.DCAT_DATASET_LINK), ds_iri, cat_graph)
-                self.store.replace_graph(ds_iri.value, triples, also_add=(link,))
+                link = Quad(IRI(cat_graph), DCAT_DATASET_LINK, ds_iri, cat_graph)
+                self.store.replace_graph(graph_name, triples, also_add=(link,))
                 self._datasets[ds_id] = (catalogue_id, original_id)
                 self._catalogues[catalogue_id].add(ds_id)
             if any(is_enrichment(t) for t in triples):
@@ -294,12 +281,12 @@ class Registry:
                 raise NotFoundError(dataset_id)
             catalogue_id, _ = self._datasets.pop(dataset_id)
             self._plain_puts.discard(dataset_id)
-            ds_iri = IRI(self.scheme.dataset(dataset_id))
-            self.store.delete_graph(ds_iri.value)
+            graph_name = self.scheme.dataset(dataset_id)
+            self.store.delete_graph(graph_name)
             self.store.delete_graph(self.scheme.metrics(dataset_id))
             if catalogue_id:
                 cat_graph = self.scheme.catalogue(catalogue_id)
-                self.store.remove(cat_graph, (IRI(cat_graph), IRI(ns.DCAT_DATASET_LINK), ds_iri))
+                self.store.remove(cat_graph, (IRI(cat_graph), DCAT_DATASET_LINK, IRI(graph_name)))
                 self._catalogues.get(catalogue_id, set()).discard(dataset_id)
             self.results["deleted"] += 1
         self.events.emit(Event("deleted", dataset_id, catalogue_id))

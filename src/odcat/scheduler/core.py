@@ -351,6 +351,7 @@ class Scheduler:
         self._stop.set()
         if self._thread is not None:
             self._thread.join(timeout=5)
+        self.client.close()
 
     # -- HTTP API -------------------------------------------------------------
 

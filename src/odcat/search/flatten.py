@@ -75,10 +75,7 @@ def flatten(
     for s, p, o in graph:
         by_sp.setdefault((s, p.value), []).append(o)
 
-    dataset_nodes = [
-        s for s, p, o in graph
-        if p.value == ns.RDF_TYPE and isinstance(o, IRI) and o.value == ns.DCAT_DATASET
-    ]
+    dataset_nodes = ns.dataset_subjects(graph)
     dataset = dataset_nodes[0] if dataset_nodes else None
 
     def objects(node: Term | None, predicate: str) -> list[Term]:

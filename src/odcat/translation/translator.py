@@ -6,7 +6,7 @@ import logging
 from datetime import datetime, timezone
 
 from .. import ns
-from ..enrichment import is_enrichment
+from ..enrichment import STATUS_PREDICATES, is_enrichment
 from ..httpkit import Request, Response, Router
 from ..rdf import IRI, Literal, Term, Triple
 from ..registry.core import Event, Registry
@@ -59,10 +59,7 @@ def translate_dataset(
     graph byte-identical.
     """
     graph = registry.dataset_graph(dataset_id)
-    dataset_nodes = [
-        s for s, p, o in graph
-        if p.value == ns.RDF_TYPE and isinstance(o, IRI) and o.value == ns.DCAT_DATASET
-    ]
+    dataset_nodes = ns.dataset_subjects(graph)
     if not dataset_nodes:
         return {"added": 0, "targets": []}
     dataset = dataset_nodes[0]
@@ -96,12 +93,8 @@ def translate_dataset(
     if not work:
         return {"added": 0, "targets": []}
 
-    new_triples = list(graph)
     started = (dataset, IRI(ns.ODN_TRANSLATION_STARTED), _now_literal())
-    new_triples = [
-        t for t in new_triples
-        if not (t[0] == dataset and t[1].value in (ns.ODN_TRANSLATION_STARTED, ns.ODN_TRANSLATION_COMPLETED))
-    ]
+    new_triples = [t for t in graph if not (t[0] == dataset and t[1] in STATUS_PREDICATES)]
     new_triples.append(started)
 
     added = 0

@@ -49,6 +49,8 @@ def test_keep_alive_round_trip_has_no_delayed_ack_stall(client):
         service.stop()
         if client == "requests":
             session.close()
+        else:
+            http.close()
     assert statistics.median(timings) < 0.020, f"median {statistics.median(timings) * 1000:.1f} ms"
 
 
@@ -80,7 +82,54 @@ def test_client_reconnects_after_peer_closes_idle_connection():
         assert not thread.is_alive()
         assert len(accepted) == 2
     finally:
+        client.close()
         listener.close()
+
+
+def test_close_closes_the_connections_of_every_thread():
+    service = echo_service()
+    client = HttpClient(timeout=5)
+    conns = []
+    called = threading.Barrier(4, timeout=5)
+    closed = threading.Event()
+
+    def call():
+        assert client.request("POST", f"{service.url}/pipe", b"x").status == 202
+        conns.append(client._conns[threading.current_thread()][f"{service.host}:{service.port}"])
+
+    def call_and_stay():  # a thread's connections are its own only while it lives
+        call()
+        called.wait()
+        closed.wait(timeout=5)
+
+    threads = [threading.Thread(target=call_and_stay) for _ in range(3)]
+    try:
+        for thread in threads:
+            thread.start()
+        called.wait()
+        call()
+        assert len(conns) == 4 and all(conn.sock is not None for conn in conns)
+        client.close()
+        assert all(conn.sock is None for conn in conns)
+        call()  # a request after close opens a new connection
+        assert conns[-1].sock is not None
+        client.close()
+    finally:
+        closed.set()
+        for thread in threads:
+            thread.join(timeout=5)
+        service.stop()
+    assert not any(thread.is_alive() for thread in threads)
+
+
+def test_stop_does_not_wait_out_a_poll_interval():
+    services = [echo_service() for _ in range(5)]
+    start = time.perf_counter()
+    for service in services:
+        service.stop()
+    elapsed = time.perf_counter() - start
+    assert elapsed < 0.25, f"stopping 5 idle services took {elapsed * 1000:.0f} ms"
+    services[0].stop()  # a second stop is harmless
 
 
 def test_client_error_when_nothing_listens():

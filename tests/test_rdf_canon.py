@@ -21,6 +21,14 @@ def test_two_parses_differing_labels():
     assert canonical_ntriples(a) == canonical_ntriples(b)
 
 
+def test_lone_surrogates_canonicalize():
+    # json.loads('"\\ud800"') gives a lone surrogate, which strict UTF-8 refuses
+    g = [(IRI("http://x/\ud800"), P, BlankNode("d")), (BlankNode("d"), Q, Literal("\udfff"))]
+    relabeled = [(IRI("http://x/\ud800"), P, BlankNode("e")), (BlankNode("e"), Q, Literal("\udfff"))]
+    assert canonical_ntriples(g) == canonical_ntriples(relabeled) == '<http://x/\ud800> <http://x/p> _:c0 .\n_:c0 <http://x/q> "\udfff" .\n'
+    assert not isomorphic(g, [(IRI("http://x/\ud800"), P, BlankNode("d"))])
+
+
 def test_symmetric_blank_nodes_stable():
     g = [
         (BlankNode("a"), P, Literal("same")),

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,8 +19,9 @@ from odcat.rdf import (
     serialize_turtle,
 )
 from odcat.rdf import ntriples
-from odcat.rdf.serialize import _escape_string
+from odcat.rdf.terms import _escape_string
 from odcat.rdf.terms import Quad
+from odcat.rdf.turtle import _SCHEME_RE
 
 from conftest import graphs
 
@@ -455,3 +459,106 @@ def test_iri_refuses_exactly_its_forbidden_characters(c):
         assert str(err.value) == f"IRI contains forbidden character: {value!r}"
     else:
         assert IRI(value).value == value
+
+
+# -- terms are their N-Triples text ------------------------------------------
+
+XSD_STRING = XSD + "string"
+RDF_LANGSTRING = "http://www.w3.org/1999/02/22-rdf-syntax-ns#langString"
+
+
+def _format_term_reference(kind: str, text: str, datatype: str = XSD_STRING, lang: str | None = None) -> str:
+    """The N-Triples form `format_term` wrote when terms were dataclasses:
+    what each term's text must be."""
+    if kind == "iri":
+        return f"<{text}>"
+    if kind == "blank":
+        return f"_:{text}"
+    body = f'"{_escape_reference(text)}"'
+    if lang is not None:
+        return f"{body}@{lang.lower()}"
+    if datatype == XSD_STRING:
+        return body
+    return f"{body}^^<{datatype}>"
+
+
+def _check_term(kind: str, text: str, datatype: str = XSD_STRING, lang: str | None = None) -> None:
+    """The term's text is the reference form, its properties give back what
+    built it, copies and the parser read the same term from that text, and
+    no term of another kind built from the same characters equals it."""
+    if kind == "iri":
+        term = IRI(text)
+        assert term.value == text
+    elif kind == "blank":
+        term = BlankNode(text)
+        assert term.label == text
+    else:
+        term = Literal(text, datatype, lang)
+        assert term.lexical == text
+        assert term.lang == (lang.lower() if lang is not None else None)
+        assert term.datatype == (RDF_LANGSTRING if lang is not None else datatype)
+    assert term == _format_term_reference(kind, text, datatype, lang)
+    assert str(term) == f"{term}" == _format_term_reference(kind, text, datatype, lang)
+    # an IRI's text is not escaped, so one that holds a backslash may read back otherwise
+    if ntriples._TERM.fullmatch(term) and (kind != "iri" or (_SCHEME_RE.match(text) and "\\" not in text)):
+        ((_, _, parsed),) = parse_ntriples(f"<http://x/s> <http://x/p> {term} .")
+        assert parsed == term and type(parsed) is type(term)
+    for clone in (copy.copy(term), copy.deepcopy(term), pickle.loads(pickle.dumps(term))):
+        assert clone == term and type(clone) is type(term)
+    others = [BlankNode(text), Literal(text)] + ([IRI(text)] if not any(c in _FORBIDDEN_IN_IRI for c in text) else [])
+    assert [other for other in others if type(other) is not type(term) and other == term] == []
+
+
+_TERM_TABLE = [
+    ("iri", "http://x/a"),
+    ("iri", ""),
+    ("iri", "urn:x:ü/ß?q=1#f\\u"),
+    ("blank", "b0"),
+    ("blank", "genid-1.x"),
+    ("literal", "Rain"),
+    ("literal", ""),
+    ("literal", "Rain", XSD_STRING, "EN-gb"),
+    ("literal", "", XSD_STRING, "de"),
+    ("literal", "5", XSD + "integer"),
+    ("literal", 'say "hi" \\ \n\r\t\b\f\x01\x1f\x7f', XSD_STRING, "fr"),
+    ("literal", '"@en'),
+    ("literal", 'a"^^<http://x/dt>'),
+    ("literal", "\\u0041 \\\\ \\"),
+    ("literal", "☂ café   \U0001F600"),
+    ("literal", "x", "http://x/dt\\y#\"q"),
+    ("literal", 'x"', XSD_STRING, 'e"n'),
+]
+
+
+@pytest.mark.parametrize("case", _TERM_TABLE, ids=[repr(case) for case in _TERM_TABLE])
+def test_term_text_is_the_ntriples_form_and_its_parts_round_trip(case):
+    _check_term(*case)
+
+
+def test_terms_of_different_kinds_never_compare_equal():
+    for text in ("a", "", "http://x/a", "_:a", '"a"', "<a>"):
+        terms = [BlankNode(text), Literal(text)]
+        if not any(c in _FORBIDDEN_IN_IRI for c in text):
+            terms.append(IRI(text))
+        assert len(set(terms)) == len(terms), text
+    assert Literal("x", XSD_STRING) == Literal("x")
+    assert Literal("x", lang="EN") == Literal("x", lang="en")
+    with pytest.raises(ValueError, match="requires a language tag"):
+        Literal("x", RDF_LANGSTRING)
+
+
+_term_text = st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(st.just("literal"), _term_text),
+        st.tuples(st.just("literal"), _term_text, st.just(XSD_STRING), st.from_regex(r"[a-zA-Z]{1,8}(-[a-zA-Z0-9]{1,8}){0,2}", fullmatch=True)),
+        st.tuples(st.just("literal"), _term_text, st.sampled_from([XSD + "integer", "http://x/dt#é", XSD_STRING])),
+        st.tuples(st.just("iri"), _term_text.filter(lambda t: not any(c in _FORBIDDEN_IN_IRI for c in t))),
+        st.tuples(st.just("blank"), st.from_regex(r"[A-Za-z0-9_]([A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?", fullmatch=True)),
+    )
+)
+def test_any_term_text_is_the_ntriples_form_and_its_parts_round_trip(case):
+    _check_term(*case)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from odcat.rdf import IRI, BlankNode, GraphQuery, Literal, ParseError, Quad, QuadStore, Var, query
+from odcat.rdf import IRI, BlankNode, GraphQuery, Literal, ParseError, Quad, QuadStore, Var, parse_ntriples, query
 
 RDF_TYPE = IRI("http://www.w3.org/1999/02/22-rdf-syntax-ns#type")
 DATASET = IRI("http://www.w3.org/ns/dcat#Dataset")
@@ -22,6 +22,17 @@ def test_insert_idempotent():
     assert store.add(G1, t)
     assert not store.add(G1, t)
     assert len(store) == 1
+
+
+def test_graphs_hold_plain_triples_sharing_one_object_per_predicate():
+    store = QuadStore()
+    first, second = (parse_ntriples(f'<http://x/{n}> <{TITLE.value}> "{n}" .') for n in "ab")
+    assert first[0][1] == second[0][1] and first[0][1] is not second[0][1]
+    store.replace_graph(G1, first)
+    store.add_all(G2, second)
+    (t1,), (t2,) = store.graph(G1), store.graph(G2)
+    assert type(t1) is tuple and t1[1] is t2[1]
+    assert [q.triple for q in store.match(G2)] == second
 
 
 def test_graph_deletion_scoped():
