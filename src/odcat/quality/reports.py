@@ -24,20 +24,35 @@ CSV_COLUMNS = (
 )
 
 
+_TYPE = IRI(ns.RDF_TYPE)
+_MEASUREMENT = IRI(ns.DQV_QUALITY_MEASUREMENT)
+_IS_MEASUREMENT_OF = IRI(ns.DQV_IS_MEASUREMENT_OF)
+_VALUE = IRI(ns.DQV_VALUE)
+_COMPUTED_ON = IRI(ns.DQV_COMPUTED_ON)
+_GENERATED_AT = IRI(ns.PROV_GENERATED_AT)
+_BOOLEANS = {True: Literal("true", ns.XSD + "boolean"), False: Literal("false", ns.XSD + "boolean")}
+
+
 def report_to_triples(report: QualityReport, metrics_graph_iri: str) -> list[Triple]:
     """DQV-style measurement nodes for one dataset report."""
+    ms = report.measurements
+    # a report repeats its metric ids, subjects and time: build each term once
+    iris = {v: IRI(v) for v in {m.metric_id for m in ms} | {m.computed_on for m in ms}}
+    times = {t: Literal(t, ns.XSD + "dateTime") for t in {m.timestamp for m in ms}}
     triples: list[Triple] = []
-    for i, m in enumerate(report.measurements):
+    for i, m in enumerate(ms):
         node = IRI(f"{metrics_graph_iri}#m{i}")
-        triples.append((node, IRI(ns.RDF_TYPE), IRI(ns.DQV_QUALITY_MEASUREMENT)))
-        triples.append((node, IRI(ns.DQV_IS_MEASUREMENT_OF), IRI(m.metric_id)))
         if isinstance(m.value, bool):
-            value = Literal("true" if m.value else "false", ns.XSD + "boolean")
+            value = _BOOLEANS[m.value]
         else:
             value = Literal(f"{m.value:g}", ns.XSD + "decimal")
-        triples.append((node, IRI(ns.DQV_VALUE), value))
-        triples.append((node, IRI(ns.DQV_COMPUTED_ON), IRI(m.computed_on)))
-        triples.append((node, IRI(ns.PROV_GENERATED_AT), Literal(m.timestamp, ns.XSD + "dateTime")))
+        triples += (
+            (node, _TYPE, _MEASUREMENT),
+            (node, _IS_MEASUREMENT_OF, iris[m.metric_id]),
+            (node, _VALUE, value),
+            (node, _COMPUTED_ON, iris[m.computed_on]),
+            (node, _GENERATED_AT, times[m.timestamp]),
+        )
     return triples
 
 

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 from .. import ns
+from ..enrichment import is_machine_tag
 from ..httpkit import Request, Response, Router
-from ..rdf import Literal
+from ..rdf import IRI, Literal
 from ..registry.core import Event, Registry
 from ..search.flatten import lang_map
 from ..vocab import Vocabulary, load_format_lists, load_vocabularies
@@ -20,9 +21,21 @@ class UnknownDatasetError(KeyError):
     pass
 
 
-def _lang_map(graph, dataset, predicate) -> dict[str, str]:
-    literals = [o for s, p, o in graph if s == dataset and p.value == predicate and isinstance(o, Literal)]
-    return lang_map(literals)
+_TITLE, _DESCRIPTION = IRI(ns.DCT_TITLE), IRI(ns.DCT_DESCRIPTION)
+
+
+def similarity_text(graph) -> str:
+    """The dataset's title and description text that similarity compares.
+
+    Machine translations are left out: their languages would otherwise
+    displace the original's, and a translated dataset would stop matching
+    an untranslated twin."""
+    dataset = next(iter(ns.dataset_subjects(graph)), None)
+    literals: dict[IRI, list[Literal]] = {_TITLE: [], _DESCRIPTION: []}
+    for s, p, o in graph:
+        if s == dataset and p in literals and isinstance(o, Literal) and not is_machine_tag(o.lang):
+            literals[p].append(o)
+    return shingle_text(lang_map(literals[_TITLE]), lang_map(literals[_DESCRIPTION]))
 
 
 def _values(report: QualityReport) -> list[tuple]:
@@ -122,13 +135,8 @@ class QualityService:
         self.registry.put_metrics(report.dataset_id, report_to_triples(report, metrics_iri))
 
     def _index_similarity(self, dataset_id: str, graph) -> None:
-        dataset = next(iter(ns.dataset_subjects(graph)), None)
-        text = shingle_text(
-            _lang_map(graph, dataset, ns.DCT_TITLE),
-            _lang_map(graph, dataset, ns.DCT_DESCRIPTION),
-        )
         try:
-            self.minhash.add(dataset_id, shingles(text))
+            self.minhash.add(dataset_id, shingles(similarity_text(graph)))
         except EmptyTokenSetError:
             self.minhash.remove(dataset_id)
 

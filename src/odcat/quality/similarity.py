@@ -1,21 +1,23 @@
 """MinHash signatures with LSH banding for near-duplicate discovery.
 
-k=128 universal-hash minima over word 3-shingles, banded as 32 bands of 4
-rows: the band collision probability crosses 0.5 near Jaccard 0.5, which is
-the intended detection threshold. Seeds are fixed constants so signatures
-are byte-identical across runs.
+k=128 hash minima over word 3-shingles, banded as 32 bands of 4 rows: the
+band collision probability crosses 0.5 near Jaccard 0.5, which is the
+intended detection threshold. The k hash functions of a shingle are the k
+64-bit words of one SHAKE-128 digest of the seed and the shingle's UTF-8
+bytes, so one C call computes all of them. The seed is a fixed constant, so
+signatures are byte-identical across runs.
 """
 
 from __future__ import annotations
 
-import hashlib
-import random
 import re
+import struct
 import threading
 from dataclasses import dataclass
+from hashlib import shake_128
 
-_WORD_RE = re.compile(r"[a-z0-9]+")
-_PRIME = (1 << 61) - 1
+# letters and digits of any script; on ASCII text this is [a-z0-9] after lower()
+_WORD_RE = re.compile(r"[^\W_]+")
 _SEED = 0x0DCA7
 
 
@@ -51,11 +53,6 @@ def exact_jaccard(a: set[str], b: set[str]) -> float:
     return len(a & b) / len(a | b)
 
 
-def _token_int(shingle: str) -> int:
-    digest = hashlib.blake2b(shingle.encode("utf-8"), digest_size=8).digest()
-    return int.from_bytes(digest, "big")
-
-
 @dataclass(frozen=True)
 class MinHashSignature:
     dataset_id: str
@@ -69,9 +66,8 @@ class MinHashIndex:
         self.k = k
         self.bands = bands
         self.rows = k // bands
-        rng = random.Random(seed)
-        self._a = [rng.randrange(1, _PRIME) for _ in range(k)]
-        self._b = [rng.randrange(0, _PRIME) for _ in range(k)]
+        self._key = seed.to_bytes(8, "big")
+        self._row = struct.Struct(f">{k}Q")  # one shingle's k hash values
         self._signatures: dict[str, tuple[int, ...]] = {}
         self._buckets: dict[tuple[int, tuple[int, ...]], set[str]] = {}
         self._lock = threading.RLock()
@@ -79,10 +75,9 @@ class MinHashIndex:
     def signature(self, tokens: set[str]) -> tuple[int, ...]:
         if not tokens:
             raise EmptyTokenSetError("cannot sign an empty token set")
-        xs = [_token_int(t) for t in tokens]
-        return tuple(
-            min((a * x + b) % _PRIME for x in xs) for a, b in zip(self._a, self._b)
-        )
+        key, unpack, size = self._key, self._row.unpack, self._row.size
+        rows = [unpack(shake_128(key + t.encode("utf-8")).digest(size)) for t in tokens]
+        return tuple(map(min, zip(*rows)))
 
     def _band_keys(self, sig: tuple[int, ...]):
         for band in range(self.bands):

@@ -9,14 +9,19 @@ from odcat.httpkit import HttpService
 from odcat.quality import (
     QualityService,
     aggregate_catalogue,
+    annotate,
     build_quality_router,
     render,
     report_to_triples,
 )
-from odcat.quality.scoring import QualityReport
-from odcat.rdf import QuadStore, parse_turtle
+from odcat.quality.scoring import QualityMeasurement, QualityReport
+from odcat.quality.service import similarity_text
+from odcat.quality.similarity import shingles
+from odcat.quality.urlcheck import UrlCheckResult
+from odcat.rdf import IRI, Literal, QuadStore, parse_turtle
 from odcat.registry import Registry
 from odcat.search import SearchIndex
+from odcat.translation import EchoProvider, translate_dataset
 
 import requests
 
@@ -86,6 +91,48 @@ def test_report_triples_have_measurement_nodes():
     assert computed == {f"{BASE}/datasets/d1"}
 
 
+def per_measurement_triples(report, metrics_graph_iri):
+    """The DQV triples of a report, every term built anew for each measurement."""
+    triples = []
+    for i, m in enumerate(report.measurements):
+        node = IRI(f"{metrics_graph_iri}#m{i}")
+        triples.append((node, IRI(ns.RDF_TYPE), IRI(ns.DQV_QUALITY_MEASUREMENT)))
+        triples.append((node, IRI(ns.DQV_IS_MEASUREMENT_OF), IRI(m.metric_id)))
+        if isinstance(m.value, bool):
+            value = Literal("true" if m.value else "false", ns.XSD + "boolean")
+        else:
+            value = Literal(f"{m.value:g}", ns.XSD + "decimal")
+        triples.append((node, IRI(ns.DQV_VALUE), value))
+        triples.append((node, IRI(ns.DQV_COMPUTED_ON), IRI(m.computed_on)))
+        triples.append((node, IRI(ns.PROV_GENERATED_AT), Literal(m.timestamp, ns.XSD + "dateTime")))
+    return triples
+
+
+@pytest.mark.parametrize("distributions", [0, 1, 2])
+def test_report_triples_equal_per_measurement_construction(distributions):
+    dists = "".join(
+        f"""<http://src/d1> dcat:distribution <http://src/d1/dist{i}> .
+        <http://src/d1/dist{i}> dct:format "CSV" ; dcat:accessURL <http://files.test/{i}> .
+        """
+        for i in range(distributions)
+    )
+    graph = parse_turtle(full_dataset(1) + dists)
+    reachable = {f"http://src/d1/dist{i}": UrlCheckResult(200, i == 0, 1) for i in range(distributions)}
+    report = annotate(graph, [], reachable, frozenset({"CSV"}), frozenset(), dataset_id="d1")
+    report.measurements += [
+        QualityMeasurement(ns.ODN + "extraScore", value, report.dataset_iri, "2024-01-01T00:00:00Z")
+        for value in (0.0, 87.5, 100.0, 0, 100, True, False)
+    ]
+    metrics_iri = f"{BASE}/metrics/d1"
+    got = report_to_triples(report, metrics_iri)
+    expected = per_measurement_triples(report, metrics_iri)
+    assert [(type(t), t) for triple in got for t in triple] == [(type(t), t) for triple in expected for t in triple]
+    values = {o.lexical for _, p, o in got if p.value == ns.DQV_VALUE}
+    assert {"0", "87.5", "100", "true", "false"} <= values
+    computed = {o.value for _, p, o in got if p.value == ns.DQV_COMPUTED_ON}
+    assert len(computed) == 1 + distributions
+
+
 def test_aggregate_mean_of_two():
     agg = aggregate_catalogue(
         "cat1",
@@ -152,6 +199,24 @@ def test_reassessment_writes_metrics_only_when_a_value_changed(registry, quality
     registry.put_dataset("cat1", "d1", parse_turtle(full_dataset(1).replace('dcat:keyword "rain"@en ;', "")))
     quality.drain()
     assert writes == ["d1"] and quality.reports["d1"].measurements != first.measurements
+
+
+def test_similarity_basis_leaves_out_machine_translations(registry, quality):
+    for original_id in ("d1", "d2"):  # twins: same title and description
+        registry.put_dataset("cat1", original_id, parse_turtle(full_dataset(1)))
+    quality.drain()
+
+    def signature():
+        return quality.minhash.signature(shingles(similarity_text(registry.dataset_graph("d1"))))
+
+    before = signature()
+    assert quality.similar("d1") == [{"id": "d2", "estimatedJaccard": 1.0}]
+    summary = translate_dataset(registry, "d1", ["de", "fr"], EchoProvider())
+    assert summary["added"] == 4
+    quality.drain()
+    assert signature() == before
+    assert similarity_text(registry.dataset_graph("d1")) == similarity_text(registry.dataset_graph("d2"))
+    assert quality.similar("d1") == [{"id": "d2", "estimatedJaccard": 1.0}]
 
 
 def test_deleted_dataset_leaves_no_metrics(registry, quality):

@@ -1,9 +1,14 @@
+import hashlib
 import random
+import re
+import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from odcat.quality import EmptyTokenSetError, MinHashIndex, exact_jaccard, shingles
-from odcat.quality.similarity import shingle_text
+from odcat.quality.similarity import shingle_text, words
 
 WORDS = [
     "rain", "snow", "wind", "sun", "city", "berlin", "hamburg", "data", "sensor",
@@ -48,7 +53,7 @@ def test_shingle_text_prefers_und_plus_first_language():
     text = shingle_text({"und": "plain title", "de": "titel", "en": "title"}, {"en": "desc"})
     assert "plain title" in text
     assert "titel" in text  # 'de' sorts before 'en'
-    assert "title" not in text.split("titel")[1] or True
+    assert "title" not in text.split("titel")[1]  # only the first tagged language
     assert "desc" in text
 
 
@@ -61,6 +66,43 @@ def test_signatures_deterministic_across_instances():
     packed2 = b"".join(v.to_bytes(8, "big") for v in sig2)
     assert packed1 == packed2
     assert len(sig1) == 128
+
+
+def test_signature_family_is_pinned():
+    # signatures are compared across runs: a change of hash family must be deliberate
+    sig = MinHashIndex().signature(shingles("hourly rainfall measurements for the city of berlin"))
+    digest = hashlib.sha256(struct.pack(">128Q", *sig)).hexdigest()
+    assert digest == "3a2edfbfae3ac4958c00fa939618bd4d0a8e418de9210f8cfc5f6355fe56428e"
+
+
+def test_signature_length_follows_k():
+    idx = MinHashIndex(k=64, bands=16)
+    sig = idx.signature(shingles("hourly rainfall measurements for the city of berlin"))
+    assert len(sig) == 64 and all(0 <= v < 1 << 64 for v in sig)
+    idx.add("a", shingles("hourly rainfall measurements for the city of berlin"))
+    idx.add("b", shingles("hourly rainfall measurements for the city of berlin"))
+    assert idx.similar("a") == [("b", 1.0)]
+
+
+def test_words_keep_letters_of_every_script():
+    assert words("Πληθυσμός Αθήνα ετήσια έκθεση 2021") == ["πληθυσμός", "αθήνα", "ετήσια", "έκθεση", "2021"]
+    assert words("Bevölkerung Straße München") == ["bevölkerung", "straße", "münchen"]
+    assert words("snake_case a-b") == ["snake", "case", "a", "b"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=st.characters(max_codepoint=127)))
+def test_words_of_ascii_text_are_unchanged(text):
+    assert words(text) == re.findall(r"[a-z0-9]+", text.lower())
+
+
+def test_greek_near_duplicates_are_similar():
+    idx = MinHashIndex()
+    base = "Πληθυσμός Αθήνα ετήσια έκθεση απογραφή κατοίκων ανά δήμο και περιφέρεια"
+    idx.add("a", shingles(base + " 2021"))
+    idx.add("b", shingles(base + " 2022"))
+    idx.add("c", shingles("Κυκλοφορία οχημάτων Θεσσαλονίκη μηνιαία στοιχεία σταθμών μέτρησης"))
+    assert [other for other, _ in idx.similar("a")] == ["b"]
 
 
 def test_estimate_tracks_exact_jaccard_on_200_pairs():
